@@ -105,12 +105,20 @@ def _cmd_tensors(args) -> int:
     return 0
 
 
-def _check_one_record(record: dict, tol: float) -> st.StateClassification:
+def _require_dim(expected: int | None, N: int) -> None:
+    if expected is not None and expected != N:
+        raise ValueError(f"--N {expected} disagrees with input dimension {N}")
+
+
+def _check_one_record(record: dict, tol: float, N: int | None) -> st.StateClassification:
     if "xi" in record:
         xi = np.asarray(record["xi"], dtype=float)
+        if N is not None:
+            _require_dim(N, st.dim_from_bloch(xi))
         return st.check_state_bloch(xi, tol=tol)
     if "rho" in record:
         rho = _rho_from_record(record)
+        _require_dim(N, rho.shape[0])
         xi = st.to_bloch(rho)
         return st.check_state_bloch(xi, tol=tol)
     raise ValueError("state record needs an 'xi' or 'rho' field")
@@ -120,6 +128,8 @@ def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
         xi = _parse_floats(args.xi, "--xi")
+        if args.N is not None:
+            _require_dim(args.N, st.dim_from_bloch(xi))
         verdict = st.check_state_bloch(xi, tol=tol)
         _emit([_dumps(_verdict_record(verdict))], args.out)
         return 0 if verdict.is_state else 2
@@ -134,7 +144,7 @@ def _cmd_check(args) -> int:
             continue
         try:
             record = json.loads(raw)
-            verdict = _check_one_record(record, tol)
+            verdict = _check_one_record(record, tol, args.N)
         except (ValueError, KeyError, TypeError) as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             parse_failures += 1
@@ -174,8 +184,7 @@ def _cmd_invariants(args) -> int:
             raise ValueError(f"spectrum sums to {spectrum.sum()}, expected 1")
         rho = np.diag(spectrum.astype(complex))
         xi = _diagonal_bloch(spectrum)
-    if args.N is not None and args.N != N:
-        raise ValueError(f"--N {args.N} disagrees with input dimension {N}")
+    _require_dim(args.N, N)
     t = inv.trace_invariants(rho)
     S = inv.char_coefficients(t)
     B = inv.bezoutian(t)

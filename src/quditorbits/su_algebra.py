@@ -7,10 +7,12 @@ rest of the library hangs off of them:
 * the totally symmetric (d) and antisymmetric (f) structure constants of
   the multiplication rule
       lam_i lam_j = (2/N) delta_ij I + sum_k (d_ijk + i f_ijk) lam_k,
+  contracted from the nonzero generator entries and kept as sparse tables
+  (dense (N^2-1)^3 views are built only on request),
 * the weight vectors of the defining representation (the halved diagonals
   of the Cartan generators),
 * the symmetric "vee" product (xi v eta)_k ~ d_ijk xi_i eta_j on adjoint
-  vectors, and
+  vectors, summed over the nonzero d_ijk only, and
 * the orthonormal Darboux frame spanning the traceless diagonal subspace
   of the eigenvalue simplex.
 
@@ -24,7 +26,7 @@ coincides with the conventional lambda_1..lambda_8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +37,10 @@ SPARSITY_THRESHOLD = 1e-12
 # Orthonormality defect tolerated before structure-constant extraction
 # refuses the input basis.
 ORTHONORMALITY_TOL = 1e-10
+
+# Rough cap on the products formed at once by the sparse triple-trace
+# contraction; the generators are processed in chunks below it.
+CONTRACTION_CHUNK_TERMS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,22 +81,41 @@ class BasisSet:
 
 @dataclass(frozen=True, eq=False)
 class StructureTensors:
-    """Structure constants of su(N) in sparse and dense form.
+    """Structure constants of su(N) as sparse tables.
 
-    The sparse maps hold one representative per symmetry class:
+    The maps ``d`` and ``f`` hold one representative per symmetry class:
     d is stored for i <= j <= k (totally symmetric), f for i < j < k
     (totally antisymmetric).  Keys are 1-based index triples.
+
+    ``d_index``/``d_values`` (and ``f_index``/``f_values``) list the same
+    constants in coordinate form over every ordered triple: ``d_index`` is
+    a read-only (3, nnz) array of 0-based indices and ``d_values`` the
+    matching values, so d[d_index[0][m], d_index[1][m], d_index[2][m]] =
+    d_values[m].  ``d_dense``/``f_dense`` scatter them into read-only
+    (N^2-1)^3 arrays on first access; no library path reads those.
     """
 
     dim: int
     d: dict
     f: dict
-    d_dense: np.ndarray
-    f_dense: np.ndarray
+    d_index: np.ndarray
+    d_values: np.ndarray
+    f_index: np.ndarray
+    f_values: np.ndarray
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
+
+    @cached_property
+    def d_dense(self) -> np.ndarray:
+        """Dense (N^2-1)^3 view of d_ijk, built on first access."""
+        return _scatter(self.size, self.d_index, self.d_values)
+
+    @cached_property
+    def f_dense(self) -> np.ndarray:
+        """Dense (N^2-1)^3 view of f_ijk, built on first access."""
+        return _scatter(self.size, self.f_index, self.f_values)
 
     def d_value(self, i: int, j: int, k: int) -> float:
         """Symmetric constant d_ijk for an arbitrary index permutation."""
@@ -142,6 +167,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scatter(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    dense = np.zeros((n, n, n))
+    dense[tuple(index)] = values
+    return _readonly(dense)
+
+
 @lru_cache(maxsize=None)
 def gell_mann_basis(N: int) -> BasisSet:
     """Construct the generalized Gell-Mann basis of su(N).
@@ -184,13 +215,97 @@ def gell_mann_basis(N: int) -> BasisSet:
     return BasisSet(dim=N, elements=stacked, cartan_indices=cartan)
 
 
+def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):
+    """Concatenate the ranges starts[g] .. starts[g] + counts[g] - 1.
+
+    Returns (owner, index): index[m] is a member of the range of group
+    owner[m], groups in order.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    offsets = np.cumsum(counts) - counts
+    index = np.repeat(starts - offsets, counts) + np.arange(owner.size)
+    return owner, index
+
+
+def _sum_by_key(keys: np.ndarray, weights: np.ndarray):
+    """Sorted distinct keys and the complex sum of the weights of each."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    real = np.bincount(inverse, weights=weights.real, minlength=uniq.size)
+    imag = np.bincount(inverse, weights=weights.imag, minlength=uniq.size)
+    return uniq, real + 1j * imag
+
+
+def _triple_traces(lam: np.ndarray):
+    """T_abc = tr(lam_a lam_b lam_c) = sum lam_a[x,y] lam_b[y,z] lam_c[z,x].
+
+    Works on the nonzero entries (a, x, y, value) of the stacked
+    generators in two joins: entries sharing y are paired and summed over
+    y into P_ab[x, z], and each P_ab[x, z] is matched with the entries
+    lam_c[z, x].  Generators a are taken in chunks so that no chunk forms
+    more than about CONTRACTION_CHUNK_TERMS products, which bounds memory
+    on a dense basis.  Returns the sorted flat keys (a n + b) n + c of the
+    triples with a nonzero term and their complex traces.
+    """
+    n, N, _ = lam.shape
+    gen, row, col = np.nonzero(lam)
+    val = lam[gen, row, col]
+    by_row = np.argsort(row, kind="stable")
+    row_count = np.bincount(row, minlength=N)
+    row_start = np.cumsum(row_count) - row_count
+    pos = row * N + col
+    by_pos = np.argsort(pos, kind="stable")
+    pos_count = np.bincount(pos, minlength=N * N)
+    pos_start = np.cumsum(pos_count) - pos_count
+
+    # Upper bound on the products formed per generator a: its first-join
+    # pairs times the most entries any second-join position can match.
+    bound = np.bincount(gen, weights=row_count[col], minlength=n) * pos_count.max()
+    window = (np.cumsum(bound) - bound) // CONTRACTION_CHUNK_TERMS
+    first_gen = np.concatenate(([0], np.flatnonzero(np.diff(window)) + 1, [n]))
+    edges = np.searchsorted(gen, first_gen)
+
+    keys, traces = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        first = np.arange(lo, hi)
+        owner, idx = _ragged_ranges(row_start[col[first]], row_count[col[first]])
+        e1, e2 = first[owner], by_row[idx]
+        pair_key = ((gen[e1] * n + gen[e2]) * N + row[e1]) * N + col[e2]
+        pair_key, pair = _sum_by_key(pair_key, val[e1] * val[e2])
+        ab, x, z = pair_key // (N * N), (pair_key // N) % N, pair_key % N
+        where = z * N + x
+        owner, idx = _ragged_ranges(pos_start[where], pos_count[where])
+        e3 = by_pos[idx]
+        k, t = _sum_by_key(ab[owner] * n + gen[e3], pair[owner] * val[e3])
+        keys.append(k)
+        traces.append(t)
+    return np.concatenate(keys), np.concatenate(traces)
+
+
+def _above_threshold(index: np.ndarray, values: np.ndarray):
+    keep = np.abs(values) >= SPARSITY_THRESHOLD
+    return _readonly(index[:, keep]), _readonly(values[keep])
+
+
+def _canonical_map(index: np.ndarray, values: np.ndarray, strict: bool) -> dict:
+    """1-based {(i, j, k): value} over the sorted triples of a COO table."""
+    i, j, k = index
+    keep = (i < j) & (j < k) if strict else (i <= j) & (j <= k)
+    keys = zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist(), (k[keep] + 1).tolist())
+    return dict(zip(keys, values[keep].tolist()))
+
+
 def structure_constants(basis: BasisSet) -> StructureTensors:
-    """Extract d_ijk and f_ijk from a basis via trace contractions.
+    """Extract d_ijk and f_ijk from a basis via sparse trace contractions.
 
     d_ijk = tr({lam_i, lam_j} lam_k) / 4 and
     f_ijk = -i tr([lam_i, lam_j] lam_k) / 4, which for an orthonormal
     Hermitian basis reduce to the real and imaginary halves of
-    T_ijk = tr(lam_i lam_j lam_k).
+    T_ijk = tr(lam_i lam_j lam_k).  T is contracted over the nonzero
+    entries of the generators only, so no (N^2-1)^3 array is formed: the
+    standard basis has about 2.5 N^2 entries, about 2.5 N in a row, and
+    the work grows like N^3.  Any orthonormal basis goes through the same
+    path; a dense one costs more but stays in bounded memory.
+    Entries below SPARSITY_THRESHOLD are dropped.
 
     Raises
     ------
@@ -206,27 +321,18 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
             f"basis is not orthonormal: max |tr(l_i l_j) - 2 delta_ij| = {defect:.3e}"
         )
 
-    t3 = np.einsum("aij,bjk,cki->abc", lam, lam, lam, optimize=True)
-    d_dense = t3.real / 2.0
-    f_dense = t3.imag / 2.0
-    d_dense[np.abs(d_dense) < SPARSITY_THRESHOLD] = 0.0
-    f_dense[np.abs(f_dense) < SPARSITY_THRESHOLD] = 0.0
-
-    d_map = {}
-    f_map = {}
-    for i, j, k in zip(*np.nonzero(d_dense)):
-        if i <= j <= k:
-            d_map[(int(i) + 1, int(j) + 1, int(k) + 1)] = float(d_dense[i, j, k])
-    for i, j, k in zip(*np.nonzero(f_dense)):
-        if i < j < k:
-            f_map[(int(i) + 1, int(j) + 1, int(k) + 1)] = float(f_dense[i, j, k])
-
+    keys, traces = _triple_traces(lam)
+    index = np.array(np.unravel_index(keys, (n, n, n)))
+    d_index, d_values = _above_threshold(index, traces.real / 2.0)
+    f_index, f_values = _above_threshold(index, traces.imag / 2.0)
     return StructureTensors(
         dim=basis.dim,
-        d=d_map,
-        f=f_map,
-        d_dense=_readonly(d_dense),
-        f_dense=_readonly(f_dense),
+        d=_canonical_map(d_index, d_values, strict=False),
+        f=_canonical_map(f_index, f_values, strict=True),
+        d_index=d_index,
+        d_values=d_values,
+        f_index=f_index,
+        f_values=f_values,
     )
 
 
@@ -261,7 +367,8 @@ def vee_product(xi: np.ndarray, eta: np.ndarray, tensors: StructureTensors) -> n
         )
     N = tensors.dim
     scale = np.sqrt(N * (N - 1) / 2.0)
-    return scale * np.einsum("ijk,i,j->k", tensors.d_dense, xi, eta)
+    i, j, k = tensors.d_index
+    return scale * np.bincount(k, weights=tensors.d_values * xi[i] * eta[j], minlength=n)
 
 
 @lru_cache(maxsize=None)

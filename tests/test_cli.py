@@ -40,6 +40,27 @@ def test_check_bad_xi_exits_1(capsys):
     assert err
 
 
+def test_check_xi_length_disagreeing_with_n_exits_1(capsys):
+    code, out, err = invoke(capsys, "check", "--N", "4", "--xi", ",".join(["0"] * 8))
+    assert code == 1
+    assert out == ""
+    assert "--N 4 disagrees with input dimension 3" in err
+
+
+def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch):
+    lines = [
+        json.dumps({"xi": [0.0] * 8}),
+        json.dumps({"xi": [0.0] * 3}),
+        json.dumps({"rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check", "--N", "3")
+    assert code == 1
+    assert [json.loads(line)["rank"] for line in out.strip().splitlines()] == [3]
+    assert "line 2: --N 3 disagrees with input dimension 2" in err
+    assert "line 3: --N 3 disagrees with input dimension 2" in err
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 1

@@ -1,11 +1,17 @@
 """Tests for the su(N) basis, structure constants, weights and frames."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quditorbits.invariants import casimirs
+from quditorbits.state_space import haar_unitary
 from quditorbits.su_algebra import (
+    SPARSITY_THRESHOLD,
+    BasisSet,
     algebra_tensors,
     basis_to_json,
     darboux_frame,
@@ -19,6 +25,48 @@ from quditorbits.su_algebra import (
 ORTHO_TOL = 1e-12
 JACOBI_TOL = 1e-10
 RECON_TOL = 1e-10
+REFERENCE_TOL = 1e-15
+VEE_TOL = 1e-13
+
+
+def dense_reference_tables(basis):
+    """Test-only reference: d and f from the dense (N^2-1)^3 triple trace.
+
+    This is the einsum extractor the library used before it contracted
+    over the sparse generator entries.  Returns (d_map, f_map, d, f) with
+    the maps keyed like StructureTensors.d/f and d, f the dense arrays.
+    """
+    lam = basis.elements
+    t3 = np.einsum("aij,bjk,cki->abc", lam, lam, lam, optimize=True)
+    d = t3.real / 2.0
+    f = t3.imag / 2.0
+    d[np.abs(d) < SPARSITY_THRESHOLD] = 0.0
+    f[np.abs(f) < SPARSITY_THRESHOLD] = 0.0
+    d_map = {
+        (int(i) + 1, int(j) + 1, int(k) + 1): float(d[i, j, k])
+        for i, j, k in zip(*np.nonzero(d))
+        if i <= j <= k
+    }
+    f_map = {
+        (int(i) + 1, int(j) + 1, int(k) + 1): float(f[i, j, k])
+        for i, j, k in zip(*np.nonzero(f))
+        if i < j < k
+    }
+    return d_map, f_map, d, f
+
+
+def rotated_basis(N, seed):
+    """The standard basis conjugated by a seeded Haar unitary: every entry nonzero."""
+    basis = gell_mann_basis(N)
+    u = haar_unitary(N, np.random.default_rng(seed))
+    elements = u @ basis.elements @ u.conj().T
+    return BasisSet(dim=N, elements=elements, cartan_indices=basis.cartan_indices)
+
+
+def max_table_difference(a, b):
+    assert list(a.d) == list(b.d) and list(a.f) == list(b.f)
+    diffs = [abs(a.d[k] - b.d[k]) for k in a.d] + [abs(a.f[k] - b.f[k]) for k in a.f]
+    return max(diffs, default=0.0)
 
 
 def test_basis_counts_and_cartan_positions():
@@ -234,3 +282,82 @@ def test_structure_constants_rejects_bad_basis():
 def test_invalid_dimension():
     with pytest.raises(ValueError):
         gell_mann_basis(1)
+
+
+def test_sparse_build_matches_dense_reference():
+    for N in range(2, 8):
+        basis = gell_mann_basis(N)
+        t = structure_constants(basis)
+        d_map, f_map, d, f = dense_reference_tables(basis)
+        assert list(t.d) == list(d_map) and list(t.f) == list(f_map)
+        assert max((abs(t.d[k] - v) for k, v in d_map.items()), default=0.0) <= REFERENCE_TOL
+        assert max((abs(t.f[k] - v) for k, v in f_map.items()), default=0.0) <= REFERENCE_TOL
+        # the coordinate lists cover exactly the nonzero ordered triples
+        assert np.array_equal(np.sort(np.ravel_multi_index(t.d_index, d.shape)), np.flatnonzero(d))
+        assert np.array_equal(np.sort(np.ravel_multi_index(t.f_index, f.shape)), np.flatnonzero(f))
+        assert np.max(np.abs(t.d_dense - d)) <= REFERENCE_TOL
+        assert np.max(np.abs(t.f_dense - f)) <= REFERENCE_TOL
+
+
+def test_vee_product_matches_dense_contraction():
+    rng = np.random.default_rng(11)
+    for N in range(3, 7):
+        t = algebra_tensors(N)
+        _, _, d, _ = dense_reference_tables(gell_mann_basis(N))
+        scale = math.sqrt(N * (N - 1) / 2.0)
+        for _ in range(5):
+            x, y = rng.normal(size=(2, N * N - 1))
+            expect = scale * np.einsum("ijk,i,j->k", d, x, y)
+            assert np.max(np.abs(vee_product(x, y, t) - expect)) <= VEE_TOL
+
+
+def test_rotated_basis_gives_standard_tables():
+    # tr(U a U^+ U b U^+ U c U^+) = tr(abc): a dense basis, same constants
+    for N in (3, 4):
+        t = structure_constants(rotated_basis(N, seed=N))
+        assert max_table_difference(t, algebra_tensors(N)) <= VEE_TOL
+
+
+def test_rotated_basis_build_stays_small():
+    tracemalloc.start()
+    try:
+        t = structure_constants(rotated_basis(6, seed=6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert max_table_difference(t, algebra_tensors(6)) <= VEE_TOL
+
+
+def test_su10_table_sizes():
+    # counts measured with the dense reference extractor
+    t = algebra_tensors(10)
+    assert (len(t.d), len(t.f)) == (1164, 681)
+
+
+def test_su16_builds_fast_and_reproduces_products():
+    start = time.perf_counter()
+    t = algebra_tensors.__wrapped__(16)
+    assert time.perf_counter() - start < 2.0
+    N, n = 16, 255
+    el = gell_mann_basis(N).elements
+    rng = np.random.default_rng(16)
+    pairs = [(i, i) for i in rng.integers(1, n + 1, size=4)]
+    pairs += [tuple(p) for p in rng.integers(1, n + 1, size=(36, 2))]
+    for i, j in pairs:
+        lhs = el[i - 1] @ el[j - 1]
+        coeff = np.array([t.d_value(i, j, k) + 1j * t.f_value(i, j, k) for k in range(1, n + 1)])
+        rhs = np.tensordot(coeff, el, axes=1)
+        if i == j:
+            rhs = rhs + (2.0 / N) * np.eye(N)
+        assert np.max(np.abs(lhs - rhs)) < RECON_TOL
+
+
+def test_library_paths_build_no_dense_tensor():
+    t = structure_constants(gell_mann_basis(5))
+    xi = np.random.default_rng(5).normal(size=24)
+    casimirs(xi, t)
+    tensors_to_json(t)
+    assert "d_dense" not in vars(t) and "f_dense" not in vars(t)
+    assert not t.d_values.flags.writeable and not t.d_index.flags.writeable
+    assert not t.d_dense.flags.writeable

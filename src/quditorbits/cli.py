@@ -105,32 +105,34 @@ def _cmd_tensors(args) -> int:
     return 0
 
 
-def _require_dim(expected: int | None, N: int) -> None:
+def _require_dim(expected, N: int, source: str = "--N") -> None:
     if expected is not None and expected != N:
-        raise ValueError(f"--N {expected} disagrees with input dimension {N}")
+        raise ValueError(f"{source} {expected!r} disagrees with input dimension {N}")
+
+
+def _require_dims(record: dict, N: int | None, dim: int) -> None:
+    _require_dim(N, dim)
+    _require_dim(record.get("N"), dim, 'record field "N"')
 
 
 def _check_one_record(record: dict, tol: float, N: int | None) -> st.StateClassification:
     if "xi" in record:
         xi = np.asarray(record["xi"], dtype=float)
-        if N is not None:
-            _require_dim(N, st.dim_from_bloch(xi))
+        # check_state_bloch itself rejects an xi that is not one-dimensional
+        if xi.ndim == 1:
+            _require_dims(record, N, st.dim_from_bloch(xi))
         return st.check_state_bloch(xi, tol=tol)
     if "rho" in record:
         rho = _rho_from_record(record)
-        _require_dim(N, rho.shape[0])
-        xi = st.to_bloch(rho)
-        return st.check_state_bloch(xi, tol=tol)
+        _require_dims(record, N, rho.shape[0])
+        return st.check_state_bloch(st.to_bloch(rho), tol=tol)
     raise ValueError("state record needs an 'xi' or 'rho' field")
 
 
 def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
-        xi = _parse_floats(args.xi, "--xi")
-        if args.N is not None:
-            _require_dim(args.N, st.dim_from_bloch(xi))
-        verdict = st.check_state_bloch(xi, tol=tol)
+        verdict = _check_one_record({"xi": _parse_floats(args.xi, "--xi")}, tol, args.N)
         _emit([_dumps(_verdict_record(verdict))], args.out)
         return 0 if verdict.is_state else 2
 

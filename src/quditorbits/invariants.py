@@ -1,10 +1,10 @@
 """Unitary invariants of unit-trace Hermitian matrices.
 
 Trace power sums t_k = tr(rho^k), the characteristic-polynomial
-coefficients S_k obtained from them through the Newton determinant
-formula, the Bezoutian matrix B_ij = t_{i+j-2} whose determinant is the
-spectral discriminant, and the Casimir invariants built from the adjoint
-vector with the symmetric vee product.
+coefficients S_k obtained from them through the Newton recursion, the
+Bezoutian matrix B_ij = t_{i+j-2} whose determinant is the spectral
+discriminant, and the Casimir invariants built from the adjoint vector
+with the symmetric vee product.
 
 Two closed-form families are included for cross-checking the orbit
 parameterization: t_3 of a qutrit as an explicit polynomial in the eight
@@ -14,7 +14,6 @@ polynomials in the radial coordinate and the two sphere angles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,26 +105,19 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
 
 
 def char_coefficients(t: TraceInvariants) -> np.ndarray:
-    """Characteristic coefficients S_1..S_N from the Newton determinant.
+    """Characteristic coefficients S_1..S_N by the Newton recursion.
 
-    S_k = det M_k / k! where M_k carries t_k..t_1 down the first column
-    and diagonals, with superdiagonal (1, 2, ..., k-1).  S_k equals the
-    k-th elementary symmetric polynomial of the eigenvalues.
+    k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
+    the k-th elementary symmetric polynomial of the eigenvalues.
     """
     N = t.dim
     if t.order < N:
         raise ValueError(f"need t_1..t_{N} to form S_1..S_{N}, have order {t.order}")
-    tv = t.values
-    S = np.empty(N)
-    S[0] = tv[0]
-    for k in range(2, N + 1):
-        M = np.zeros((k, k))
-        for r in range(k):
-            M[r, : r + 1] = tv[r::-1]
-            if r + 1 < k:
-                M[r, r + 1] = r + 1
-        S[k - 1] = np.linalg.det(M) / math.factorial(k)
-    return S
+    signed_t = t.values[:N] * (-1.0) ** np.arange(N)
+    S = np.ones(N + 1)
+    for k in range(1, N + 1):
+        S[k] = np.dot(S[k - 1 :: -1], signed_t[:k]) / k
+    return S[1:]
 
 
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
@@ -137,27 +129,19 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     if upto <= t.order:
         return t
     N = t.dim
-    S = char_coefficients(t)
-    signs = np.array([(-1.0) ** (j + 1) for j in range(1, N + 1)])
-    ext = list(t.values)
+    signed_S = char_coefficients(t) * (-1.0) ** np.arange(N)
+    ext = np.concatenate(([float(N)], t.values, np.empty(upto - t.order)))
     for k in range(t.order + 1, upto + 1):
-        acc = 0.0
-        for j in range(1, N + 1):
-            tkj = float(N) if k - j == 0 else ext[k - j - 1]
-            acc += signs[j - 1] * S[j - 1] * tkj
-        ext.append(acc)
-    return TraceInvariants(dim=N, values=np.array(ext))
+        ext[k] = np.dot(signed_S, ext[k - 1 : k - N - 1 : -1])
+    return TraceInvariants(dim=N, values=ext[1:])
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:
     """Bezoutian (Hankel) matrix B_ij = t_{i+j-2}, i, j = 1..N, t_0 = N."""
     N = t.dim
-    ext = newton_extend(t, 2 * N - 2)
-    B = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            B[i, j] = ext.t(i + j)
-    return B
+    ext = np.concatenate(([float(N)], newton_extend(t, 2 * N - 2).values))
+    i = np.arange(N)
+    return ext[np.add.outer(i, i)]
 
 
 def discriminant(t: TraceInvariants) -> float:

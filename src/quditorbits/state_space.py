@@ -10,7 +10,9 @@ along two routes that must agree, neither of which diagonalizes anything:
 * the S_k signs plus the Bezoutian discriminant computed from a bare
   trace tuple (check_state_traces).
 
-Both read the rank off the S_k by one rule (_rank_from_ratios).  An
+Both are thin front ends on one classification core (_classify), which
+takes S_k >= 0 (and, on the trace route, disc >= 0) to a verdict and
+reads the rank off the S_k by one rule (_rank_from_ratios).  An
 in-repo cyclic Jacobi eigensolver (jacobi_eigh, eig_oracle) that never
 calls an external diagonalization routine is kept as an independent
 oracle for tests and demos; no verdict consults it.
@@ -224,59 +226,48 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
     return len(S)
 
 
-def _stratum(is_state: bool, rank: int, N: int, margin: float, tol: float) -> str | None:
+def _classify(t: TraceInvariants, tol: float, disc: float = math.inf) -> StateClassification:
+    """The classification core behind both routes.
+
+    A state needs S_k >= -tol for every k and disc >= -tol; the default
+    disc of +inf leaves the discriminant out, whatever the sign of tol.
+    The rank comes from the S_k by _rank_from_ratios.
+    """
+    S = char_coefficients(t)
+    margin = float(np.min(S))
+    is_state = bool(margin >= -tol and disc >= -tol)
+    rank = _rank_from_ratios(S, t, tol)
     if not is_state:
-        return None
-    if rank == 1:
-        return "pure"
-    if rank == N and margin > tol:
-        return "interior"
-    return f"boundary-rank-{rank}"
+        stratum = None
+    elif rank == 1:
+        stratum = "pure"
+    elif rank == t.dim and margin > tol:
+        stratum = "interior"
+    else:
+        stratum = f"boundary-rank-{rank}"
+    return StateClassification(is_state=is_state, rank=rank, stratum=stratum, margin=margin)
 
 
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
     """Positivity test in Bloch coordinates: all S_k(xi) >= 0.
 
-    No eigensolver is involved; the rank comes from (S_1, ..., S_N) by
-    the same rule as in check_state_traces (_rank_from_ratios).
+    A thin front end on _classify, the core shared with
+    check_state_traces; no eigensolver is involved.
     """
-    rho = from_bloch(xi)
-    N = rho.shape[0]
-    t = trace_invariants(rho, N)
-    S = char_coefficients(t)
-    margin = float(np.min(S))
-    is_state = bool(margin >= -tol)
-
-    rank = _rank_from_ratios(S, t, tol)
-    return StateClassification(
-        is_state=is_state,
-        rank=rank,
-        stratum=_stratum(is_state, rank, N, margin, tol),
-        margin=margin,
-    )
+    return _classify(trace_invariants(from_bloch(xi)), tol)
 
 
 def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> StateClassification:
     """Positivity test from a trace tuple alone.
 
     Requires t_1 = 1 within 1e-10 (raises otherwise), then demands
-    disc >= 0 and S_k >= 0 for k = 1..N.  No matrix and no eigensolver
-    are touched; the rank comes from the S_k by the same rule as in
-    check_state_bloch (_rank_from_ratios).
+    disc >= 0 and S_k >= 0 for k = 1..N through _classify, the core
+    shared with check_state_bloch.  No matrix and no eigensolver are
+    touched.
     """
     if abs(t.t(1) - 1.0) > TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")
-    S = char_coefficients(t)
-    disc = discriminant(t)
-    margin = float(np.min(S))
-    is_state = bool(margin >= -tol and disc >= -tol)
-    rank = _rank_from_ratios(S, t, tol)
-    return StateClassification(
-        is_state=is_state,
-        rank=rank,
-        stratum=_stratum(is_state, rank, t.dim, margin, tol),
-        margin=margin,
-    )
+    return _classify(t, tol, discriminant(t))
 
 
 def uniform_simplex(N: int, rng: np.random.Generator) -> np.ndarray:

@@ -52,6 +52,7 @@ def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch
         json.dumps({"xi": [0.0] * 8}),
         json.dumps({"xi": [0.0] * 3}),
         json.dumps({"rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
+        json.dumps({"N": 4, "xi": [0.0] * 8}),
     ]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code, out, err = invoke(capsys, "check", "--N", "3")
@@ -59,6 +60,7 @@ def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch
     assert [json.loads(line)["rank"] for line in out.strip().splitlines()] == [3]
     assert "line 2: --N 3 disagrees with input dimension 2" in err
     assert "line 3: --N 3 disagrees with input dimension 2" in err
+    assert 'line 4: record field "N" 4 disagrees with input dimension 3' in err
 
 
 def test_unknown_command_exits_1(capsys):

@@ -71,7 +71,7 @@ def test_char_coefficients_qutrit():
 
 def test_char_coefficients_match_numpy_poly():
     rng = np.random.default_rng(5)
-    for N in (2, 3, 4, 5):
+    for N in (2, 3, 4, 5, 8, 10):
         eigs = rng.dirichlet(np.ones(N))
         t = trace_invariants(diag_state(*eigs))
         S = char_coefficients(t)
@@ -83,7 +83,7 @@ def test_char_coefficients_match_numpy_poly():
 
 def test_newton_extension_reproduces_higher_traces():
     rng = np.random.default_rng(6)
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5, 8):
         eigs = rng.dirichlet(np.ones(N))
         t = trace_invariants(diag_state(*eigs))
         ext = newton_extend(t, 2 * N - 2)

@@ -27,6 +27,9 @@ from .su_algebra import (
 
 DEFAULT_SEED = 0
 
+# Records that batch `check` reads before it classifies them together.
+CHECK_CHUNK = 512
+
 
 class _NumpyEncoder(json.JSONEncoder):
     def default(self, o):
@@ -66,21 +69,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _verdict_record(c: st.StateClassification) -> dict:
-    return {
-        "is_state": bool(c.is_state),
-        "rank": int(c.rank),
-        "stratum": c.stratum,
-        "margin": float(c.margin),
-    }
+def _verdict_line(c: st.StateClassification) -> str:
+    # the stacked checks return plain Python bool, int, str and float
+    return json.dumps(
+        {"is_state": c.is_state, "rank": c.rank, "stratum": c.stratum, "margin": c.margin}
+    )
 
 
 def _rho_from_record(record: dict) -> np.ndarray:
-    data = record["rho"]
-    rho = np.array([[complex(cell[0], cell[1]) for cell in row] for row in data])
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"rho must be square, got shape {rho.shape}")
-    return rho
+    cells = np.array(record["rho"])
+    if cells.dtype.kind not in "biuf":
+        raise ValueError("rho cells must hold numbers")
+    if cells.ndim != 3 or cells.shape[1:] != (cells.shape[0], 2):
+        raise ValueError(f"rho must be N x N [re, im] cells, got shape {cells.shape}")
+    return np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
 
 
 def _cmd_basis(args) -> int:
@@ -115,45 +117,85 @@ def _require_dims(record: dict, N: int | None, dim: int) -> None:
     _require_dim(record.get("N"), dim, 'record field "N"')
 
 
-def _check_one_record(record: dict, tol: float, N: int | None) -> st.StateClassification:
+def _parse_record(record: dict, N: int | None) -> tuple:
+    """("xi", xi) or ("rho", rho) from a state record, after the checks
+    that need no arithmetic: dimension, --N and the record's own "N"."""
     if "xi" in record:
         xi = np.asarray(record["xi"], dtype=float)
-        # check_state_bloch itself rejects an xi that is not one-dimensional
-        if xi.ndim == 1:
-            _require_dims(record, N, st.dim_from_bloch(xi))
-        return st.check_state_bloch(xi, tol=tol)
+        _require_dims(record, N, st.dim_from_bloch(xi))
+        return "xi", xi
     if "rho" in record:
         rho = _rho_from_record(record)
         _require_dims(record, N, rho.shape[0])
-        return st.check_state_bloch(st.to_bloch(rho), tol=tol)
+        return "rho", rho
     raise ValueError("state record needs an 'xi' or 'rho' field")
+
+
+def _classify_records(parsed: list, tol: float) -> list:
+    """Verdicts, or the ValueError of each record that has none, for a
+    list of parsed records, in their order: one stacked pass per record
+    kind and dimension."""
+    groups = {}
+    for i, (kind, data) in enumerate(parsed):
+        groups.setdefault((kind, data.shape), []).append(i)
+    results = [None] * len(parsed)
+    for (kind, _), rows in groups.items():
+        check = st.check_states_bloch if kind == "xi" else st.check_states
+        try:
+            verdicts = check(np.stack([parsed[i][1] for i in rows]), tol)
+        except ValueError as exc:  # one for the whole group, such as N < 2
+            verdicts = [exc] * len(rows)
+        for i, verdict in zip(rows, verdicts):
+            results[i] = verdict
+    return results
+
+
+def _stdin_chunks():
+    """(line number, text) of the non-blank stdin lines, CHECK_CHUNK at a time."""
+    chunk = []
+    for lineno, raw in enumerate(sys.stdin, start=1):
+        raw = raw.strip()
+        if raw:
+            chunk.append((lineno, raw))
+        if len(chunk) == CHECK_CHUNK:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
 
 
 def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
-        verdict = _check_one_record({"xi": _parse_floats(args.xi, "--xi")}, tol, args.N)
-        _emit([_dumps(_verdict_record(verdict))], args.out)
+        record = _parse_record({"xi": _parse_floats(args.xi, "--xi")}, args.N)
+        (verdict,) = _classify_records([record], tol)
+        if isinstance(verdict, ValueError):
+            raise verdict
+        _emit([_verdict_line(verdict)], args.out)
         return 0 if verdict.is_state else 2
 
     # batch mode: one JSON state record per stdin line
     lines = []
     any_invalid = False
     parse_failures = 0
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = json.loads(raw)
-            verdict = _check_one_record(record, tol, args.N)
-        except (ValueError, KeyError, TypeError) as exc:
+    for chunk in _stdin_chunks():
+        failures = []
+        parsed = []
+        for lineno, raw in chunk:
+            try:
+                parsed.append((lineno, _parse_record(json.loads(raw), args.N)))
+            except (ValueError, KeyError, TypeError) as exc:
+                failures.append((lineno, exc))
+        verdicts = _classify_records([record for _, record in parsed], tol)
+        for (lineno, _), verdict in zip(parsed, verdicts):
+            if isinstance(verdict, ValueError):
+                failures.append((lineno, verdict))
+                continue
+            any_invalid = any_invalid or not verdict.is_state
+            lines.append(_verdict_line(verdict))
+        for lineno, exc in sorted(failures, key=lambda failure: failure[0]):
             print(f"line {lineno}: {exc}", file=sys.stderr)
-            parse_failures += 1
-            continue
-        if not verdict.is_state:
-            any_invalid = True
-        lines.append(_dumps(_verdict_record(verdict)))
+        parse_failures += len(failures)
     if lines or not parse_failures:
         _emit(lines if lines else [], args.out)
     if parse_failures:

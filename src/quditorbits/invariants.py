@@ -104,6 +104,37 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     return TraceInvariants(dim=N, values=values)
 
 
+def _trace_invariants_stack(rhos: np.ndarray):
+    """trace_invariants(rho).values for every matrix of a (B, N, N) stack at once.
+
+    The same checks and the same arithmetic as the single-matrix loop, so
+    each row of the (B, N) result is bit-identical to it.  A matrix the
+    loop would reject is not raised on: its row index maps to the loop's
+    ValueError in the returned dict, and its row of values is undefined.
+    """
+    B, N = rhos.shape[0], rhos.shape[-1]
+    errors = {}
+    defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+    for b in np.flatnonzero(defect > HERMITICITY_TOL):
+        errors[int(b)] = ValueError(
+            f"matrix is not Hermitian: max |rho - rho^dag| = {defect[b]:.3e}"
+        )
+    T = np.empty((B, N))
+    power = rhos
+    for k in range(1, N + 1):
+        tk = np.trace(power, axis1=1, axis2=2)
+        size = np.abs(tk)
+        residue = np.abs(tk.imag) > HERMITICITY_TOL * np.where(size > 1.0, size, 1.0)
+        for b in np.flatnonzero(residue):
+            errors.setdefault(
+                int(b), ValueError(f"trace of power {k} has imaginary residue {tk[b].imag:.3e}")
+            )
+        T[:, k - 1] = tk.real
+        if k < N:
+            power = power @ rhos
+    return T, errors
+
+
 def char_coefficients(t: TraceInvariants) -> np.ndarray:
     """Characteristic coefficients S_1..S_N by the Newton recursion.
 
@@ -120,6 +151,24 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
     return S[1:]
 
 
+def _char_coefficients_stack(T: np.ndarray) -> np.ndarray:
+    """char_coefficients for every row of a (B, N) array of t_1..t_N.
+
+    Each dot product of the recursion is a contiguous (1, k) @ (k, 1)
+    matmul, which rounds exactly as the np.dot of the single-tuple loop
+    does (a sum of products or an einsum does not), so every row is
+    bit-identical to char_coefficients of that row.
+    """
+    B, N = T.shape
+    signed_t = T * (-1.0) ** np.arange(N)
+    S = np.ones((B, N + 1))
+    for k in range(1, N + 1):
+        lhs = np.ascontiguousarray(S[:, k - 1 :: -1])[:, np.newaxis, :]
+        rhs = np.ascontiguousarray(signed_t[:, :k])[:, :, np.newaxis]
+        S[:, k] = (lhs @ rhs)[:, 0, 0] / k
+    return S[:, 1:]
+
+
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     """Extend a trace tuple past t_N with the Newton recursion.
 
@@ -128,8 +177,13 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     """
     if upto <= t.order:
         return t
+    return _newton_extend(t, char_coefficients(t), upto)
+
+
+def _newton_extend(t: TraceInvariants, S: np.ndarray, upto: int) -> TraceInvariants:
+    """newton_extend past t.order < upto, from S = char_coefficients(t)."""
     N = t.dim
-    signed_S = char_coefficients(t) * (-1.0) ** np.arange(N)
+    signed_S = S * (-1.0) ** np.arange(N)
     ext = np.concatenate(([float(N)], t.values, np.empty(upto - t.order)))
     for k in range(t.order + 1, upto + 1):
         ext[k] = np.dot(signed_S, ext[k - 1 : k - N - 1 : -1])
@@ -147,6 +201,14 @@ def bezoutian(t: TraceInvariants) -> np.ndarray:
 def discriminant(t: TraceInvariants) -> float:
     """det B = prod_{i<j} (r_i - r_j)^2, the discriminant of the spectrum."""
     return float(np.linalg.det(bezoutian(t)))
+
+
+def _discriminant(t: TraceInvariants, S: np.ndarray) -> float:
+    """discriminant(t) from S = char_coefficients(t) that the caller has
+    already formed, so that the extension does not form it again."""
+    upto = 2 * t.dim - 2
+    ext = t if upto <= t.order else _newton_extend(t, S, upto)
+    return discriminant(ext)
 
 
 def bezoutian_rank(B: np.ndarray, cutoff: float | None = None) -> int:

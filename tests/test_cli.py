@@ -3,12 +3,15 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import quditorbits.cli as cli
 from quditorbits.cli import run
 from quditorbits.orbit_space import ANGLE_CONVENTION
+from quditorbits.state_space import check_state_bloch, sample_states, to_bloch
 
 
 def invoke(capsys, *argv):
@@ -61,6 +64,86 @@ def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch
     assert "line 2: --N 3 disagrees with input dimension 2" in err
     assert "line 3: --N 3 disagrees with input dimension 2" in err
     assert 'line 4: record field "N" 4 disagrees with input dimension 3' in err
+
+
+def test_batch_check_reports_malformed_rho_cells(capsys, monkeypatch):
+    lines = [
+        json.dumps({"rho": [[[0.5]]]}),
+        json.dumps({"rho": [[[0.5, 0.0, 9.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]]}),
+        json.dumps({"rho": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
+        json.dumps({"xi": [0.0] * 8}),
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check")
+    assert code == 1
+    assert [json.loads(line)["rank"] for line in out.strip().splitlines()] == [3]
+    assert err.splitlines() == [
+        "line 1: rho must be N x N [re, im] cells, got shape (1, 1, 1)",
+        "line 2: rho must be N x N [re, im] cells, got shape (2, 2, 3)",
+        "line 3: rho cells must hold numbers",
+    ]
+
+
+def _state_record(N, rng, kind):
+    rho = sample_states(N, 1, seed=int(rng.integers(2**31)))[0]
+    if kind == "xi":
+        return {"xi": to_bloch(rho).tolist()}
+    return {"rho": np.stack([rho.real, rho.imag], -1).tolist()}
+
+
+def test_batch_check_keeps_input_order_across_chunks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHECK_CHUNK", 7)
+    rng = np.random.default_rng(31)
+    lines, expected, bad_lines = [], [], []
+    for k in range(40):
+        lineno = len(lines) + 1
+        if k % 9 == 4:
+            lines.append(json.dumps({"xi": [0.0] * 5}))
+            bad_lines.append(f"line {lineno}: Bloch vector length 5 is not N^2 - 1 for any N >= 2")
+        elif k % 9 == 7:
+            lines.append('{"rho": ')
+            bad_lines.append(f"line {lineno}: ")
+        else:
+            record = _state_record(2 + k % 3, rng, "xi" if k % 2 else "rho")
+            if k % 5 == 0:  # not a state: push one Bloch component out
+                record = {"xi": (np.asarray(_state_record(3, rng, "xi")["xi"]) * 3.0).tolist()}
+            lines.append(json.dumps(record))
+            if "xi" in record:
+                expected.append(check_state_bloch(np.asarray(record["xi"])))
+            else:
+                cells = np.asarray(record["rho"])
+                rho = np.zeros(cells.shape[:2], dtype=complex)
+                rho.real, rho.imag = cells[..., 0], cells[..., 1]
+                expected.append(check_state_bloch(to_bloch(rho)))
+        if k % 6 == 0:
+            lines.append("")  # blank lines are skipped but counted
+    assert len(lines) > 3 * cli.CHECK_CHUNK
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check")
+    assert code == 1
+    verdicts = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(v["is_state"], v["rank"], v["stratum"], v["margin"]) for v in verdicts] == [
+        (e.is_state, e.rank, e.stratum, e.margin) for e in expected
+    ]
+    assert not all(v["is_state"] for v in verdicts)
+    errors = err.splitlines()
+    assert len(errors) == len(bad_lines)
+    assert all(got.startswith(want) for got, want in zip(errors, bad_lines))
+
+
+def test_check_huge_record_matches_single_shot_without_warning(capsys, monkeypatch):
+    xi = [1e300] + [0.0] * 7
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"xi": xi}) + "\n"))
+        batch = invoke(capsys, "check")
+        single = invoke(capsys, "check", "--xi", ",".join(repr(x) for x in xi))
+    assert caught == []
+    assert batch == single
+    code, out, err = batch
+    assert code == 2
+    assert err == ""
+    assert json.loads(out)["is_state"] is False
 
 
 def test_unknown_command_exits_1(capsys):

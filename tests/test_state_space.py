@@ -9,14 +9,23 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import quditorbits.invariants as invariants
 import quditorbits.state_space as state_space
-from quditorbits.invariants import trace_invariants
+from quditorbits.invariants import (
+    _char_coefficients_stack,
+    _discriminant,
+    char_coefficients,
+    discriminant,
+    trace_invariants,
+)
 from quditorbits.state_space import (
     POSITIVITY_TOL,
     StateClassification,
     bloch_scale,
     check_state_bloch,
     check_state_traces,
+    check_states,
+    check_states_bloch,
     dim_from_bloch,
     eig_oracle,
     from_bloch,
@@ -223,6 +232,8 @@ def test_checks_reach_no_eigensolver(monkeypatch):
     for rho in matrices:
         state_space.check_state_bloch(to_bloch(rho))
         state_space.check_state_traces(trace_invariants(rho))
+    for N in (2, 3, 5):
+        state_space.check_states(np.array([rho for rho in matrices if len(rho) == N]))
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -243,6 +254,110 @@ def test_rank_with_eigenvalues_near_1e_5(N):
                 vb = check_state_bloch(to_bloch(rho))
                 vt = check_state_traces(trace_invariants(rho))
                 assert vb.rank == vt.rank == oracle_rank, (spectrum, vb, vt)
+
+
+def _route_style_corpus(N, count, rng):
+    """Gaussian non-states, Haar states, rank-deficient states (some with a
+    doubled eigenvalue) and those states nudged off the boundary."""
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            out.append(random_hermitian_unit_trace(N, rng))
+            continue
+        spectrum = uniform_simplex(N, rng)
+        if kind >= 2:
+            spectrum[rng.integers(1, N) :] = 0.0
+            if k % 8 == 2:
+                spectrum[0] = spectrum[1] = spectrum[:2].mean()
+            spectrum /= spectrum.sum()
+        u = haar_unitary(N, rng)
+        rho = (u * spectrum) @ u.conj().T
+        if kind == 3:
+            h = random_hermitian_unit_trace(N, rng) - np.eye(N) / N
+            rho = rho + 1e-5 * h / np.linalg.norm(h)
+        out.append((rho + rho.conj().T) / 2.0)
+    return np.array(out)
+
+
+def _same_verdict(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    margins_equal = a.margin == b.margin or (math.isnan(a.margin) and math.isnan(b.margin))
+    return (a.is_state, a.rank, a.stratum) == (b.is_state, b.rank, b.stratum) and margins_equal
+
+
+def _scalar(check, *args):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the scalar path may warn on 1e300
+            return check(*args)
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_stacked_check_equals_scalar_check(N):
+    rng = np.random.default_rng(700 + N)
+    matrices = _route_style_corpus(N, 120, rng)
+    n = N * N - 1
+    xis = np.vstack(
+        [
+            np.array([to_bloch(rho) for rho in matrices]),
+            np.zeros(n),
+            np.full(n, np.nan),
+            np.full(n, np.inf),
+            np.full(n, 1e300),
+            1e100 * rng.normal(size=(4, n)),
+        ]
+    )
+    for tol in (POSITIVITY_TOL, 1e-6, -1e-3):
+        stacked = check_states_bloch(xis, tol)
+        assert len(stacked) == len(xis)
+        for xi, verdict in zip(xis, stacked):
+            assert _same_verdict(_scalar(check_state_bloch, xi, tol), verdict), (xi, verdict)
+
+    # matrices: the same through to_bloch, with rejected members in place
+    bad = matrices.copy()
+    bad[1, 0, 1] += 1e-9  # not Hermitian
+    bad[2, 0, 0] += 1e-9  # trace off 1
+    bad[3] = np.nan
+    for verdict, rho in zip(check_states(bad), bad):
+        expected = _scalar(lambda m: check_state_bloch(to_bloch(m)), rho)
+        assert _same_verdict(expected, verdict), (rho, verdict)
+    assert isinstance(check_states(bad)[1], ValueError)
+
+    T = np.array([trace_invariants(rho).values for rho in matrices])
+    S = _char_coefficients_stack(T)
+    for t_row, S_row, rho in zip(T, S, matrices):
+        t = trace_invariants(rho)
+        assert np.array_equal(S_row, char_coefficients(t))
+        assert _discriminant(t, S_row) == discriminant(t)
+
+
+def test_stacked_check_sizes():
+    assert check_states_bloch(np.empty((0, 8))) == []
+    assert check_states(np.empty((0, 3, 3))) == []
+    with pytest.raises(ValueError, match="N\\^2 - 1"):
+        check_states_bloch(np.zeros((2, 7)))
+    with pytest.raises(ValueError, match="need N >= 2"):
+        check_states(np.ones((2, 1, 1)))
+
+
+def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return char_coefficients(t)
+
+    monkeypatch.setattr(invariants, "char_coefficients", counted)
+    monkeypatch.setattr(state_space, "char_coefficients", counted)
+    for N in (2, 3, 5, 8):
+        rho = sample_states(N, 1, seed=800 + N)[0]
+        calls.clear()
+        check_state_traces(trace_invariants(rho))
+        assert len(calls) == 1
 
 
 def test_check_traces_requires_unit_trace():

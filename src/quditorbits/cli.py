@@ -10,6 +10,7 @@ defaults to CSV, the polyhedron report to JSON).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,21 +32,10 @@ DEFAULT_SEED = 0
 CHECK_CHUNK = 512
 
 
-class _NumpyEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        if isinstance(o, np.bool_):
-            return bool(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def _dumps(payload) -> str:
-    return json.dumps(payload, cls=_NumpyEncoder)
+    # default sees only what json cannot encode: numpy arrays, and numpy
+    # scalars other than np.float64, which subclasses float
+    return json.dumps(payload, default=lambda o: o.tolist())
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -184,7 +174,7 @@ def _cmd_check(args) -> int:
         for lineno, raw in chunk:
             try:
                 parsed.append((lineno, _parse_record(json.loads(raw), args.N)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 failures.append((lineno, exc))
         verdicts = _classify_records([record for _, record in parsed], tol)
         for (lineno, _), verdict in zip(parsed, verdicts):
@@ -197,7 +187,7 @@ def _cmd_check(args) -> int:
             print(f"line {lineno}: {exc}", file=sys.stderr)
         parse_failures += len(failures)
     if lines or not parse_failures:
-        _emit(lines if lines else [], args.out)
+        _emit(lines, args.out)
     if parse_failures:
         return 1
     return 2 if any_invalid else 0
@@ -277,19 +267,18 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    report = orb.intersection_polyhedron(args.N, args.r)
-    if args.N == 3 and args.r >= 0.5:
-        report["rank2_phi"] = 3.0 * np.arcsin(1.0 / (2.0 * args.r))
-        report["effective_qubit_radius"] = orb.effective_radius("qubit-in-qutrit", args.r)
-    if args.N == 4:
-        if args.r >= 1.0 / 3.0:
-            report["rank3_cos_theta"] = orb.quatrit_rank3_cos_theta(args.r)
-            report["effective_qutrit_radius"] = orb.effective_radius(
-                "qutrit-in-quatrit", args.r
-            )
-        if args.r >= 1.0 / np.sqrt(3.0):
+    N, r = args.N, args.r
+    report = orb.intersection_polyhedron(N, r)
+    if N == 3 and r >= orb._corner_radius(3, 2):
+        report["rank2_phi"] = report["phi_range"][1]
+        report["effective_qubit_radius"] = orb.effective_radius("qubit-in-qutrit", r)
+    if N == 4:
+        if r >= orb._corner_radius(4, 3):
+            report["rank3_cos_theta"] = orb.quatrit_rank3_cos_theta(r)
+            report["effective_qutrit_radius"] = orb.effective_radius("qutrit-in-quatrit", r)
+        if r >= orb._corner_radius(4, 2):
             report["effective_qubit_radius"] = orb.effective_radius(
-                "qubit-in-qutrit-in-quatrit", args.r
+                "qubit-in-qutrit-in-quatrit", r
             )
     _emit([_dumps(report)], args.out)
     return 0
@@ -365,6 +354,7 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditorbits",
@@ -373,11 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n_required=True, n_default=None):
-        if n_required:
-            p.add_argument("--N", type=int, required=True, help="Hilbert space dimension")
-        else:
-            p.add_argument("--N", type=int, default=n_default, help="Hilbert space dimension")
+    def add_common(p, n_required=True):
+        p.add_argument("--N", type=int, required=n_required, help="Hilbert space dimension")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("basis", help="emit the orthogonal Hermitian basis of su(N)")

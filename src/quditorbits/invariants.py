@@ -154,19 +154,19 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
 def _char_coefficients_stack(T: np.ndarray) -> np.ndarray:
     """char_coefficients for every row of a (B, N) array of t_1..t_N.
 
-    Each dot product of the recursion is a contiguous (1, k) @ (k, 1)
-    matmul, which rounds exactly as the np.dot of the single-tuple loop
-    does (a sum of products or an einsum does not), so every row is
-    bit-identical to char_coefficients of that row.
+    The recursion keeps S reversed, rev[:, N - j] = S_j, so that the
+    S_{k-1}..S_0 of each step are a forward, unit-stride slice of a row.
+    np.vecdot over such rows rounds exactly as the np.dot of the
+    single-tuple loop does (on a negative-stride view it does not, nor
+    does a sum of products or an einsum), so every row is bit-identical
+    to char_coefficients of that row.
     """
     B, N = T.shape
     signed_t = T * (-1.0) ** np.arange(N)
-    S = np.ones((B, N + 1))
+    rev = np.ones((B, N + 1))
     for k in range(1, N + 1):
-        lhs = np.ascontiguousarray(S[:, k - 1 :: -1])[:, np.newaxis, :]
-        rhs = np.ascontiguousarray(signed_t[:, :k])[:, :, np.newaxis]
-        S[:, k] = (lhs @ rhs)[:, 0, 0] / k
-    return S[:, 1:]
+        rev[:, N - k] = np.vecdot(rev[:, N - k + 1 :], signed_t[:, :k]) / k
+    return rev[:, N - 1 :: -1]
 
 
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:

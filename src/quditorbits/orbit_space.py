@@ -20,14 +20,14 @@ radii of the embedded lower qudits (a rank-2 qutrit is a qubit of radius
 (2/sqrt(3)) sqrt(r^2 - 1/4), and so on down the matryoshka), and the
 intersection of the ordered eigenvalue simplex with the sphere of states
 at fixed r (an arc for N = 3, a spherical triangle or quadrilateral for
-N = 4).
+N = 4).  All of it is read off the corners v_k = (1/k, ..., 1/k, 0, ..., 0)
+of the ordered simplex, at Bloch radii r_k = sqrt((N/k - 1)/(N - 1)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +45,6 @@ ZERO_TOL = 1e-9
 
 # Slack on ordering / nonnegativity predicates.
 ORDER_TOL = 1e-12
-
-# Vertices of the simplex-sphere polyhedron closer than this merge.
-VERTEX_DEDUP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,14 +245,12 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
     )
 
 
-_EFFECTIVE_RADIUS = {
-    # kind: (minimum radius of the stratum, map r -> embedded radius)
-    "qubit-in-qutrit": (0.5, lambda r: (2.0 / math.sqrt(3.0)) * math.sqrt(r * r - 0.25)),
-    "qutrit-in-quatrit": (1.0 / 3.0, lambda r: (3.0 / (2.0 * math.sqrt(2.0))) * math.sqrt(r * r - 1.0 / 9.0)),
-    "qubit-in-qutrit-in-quatrit": (
-        1.0 / math.sqrt(3.0),
-        lambda r: (3.0 / math.sqrt(6.0)) * math.sqrt(r * r - 1.0 / 3.0),
-    ),
+# kind: (N, k), the rank-k stratum of a qudit of dimension N, whose
+# embedded rank-k qudit is maximally mixed at the corner radius r_k.
+_EMBEDDINGS = {
+    "qubit-in-qutrit": (3, 2),
+    "qutrit-in-quatrit": (4, 3),
+    "qubit-in-qutrit-in-quatrit": (4, 2),
 }
 
 
@@ -265,61 +260,75 @@ def effective_radius(kind: str, r: float) -> float:
     kind is one of "qubit-in-qutrit" (rank-2 qutrit, r in [1/2, 1]),
     "qutrit-in-quatrit" (rank-3 quatrit, r in [1/3, 1]) or
     "qubit-in-qutrit-in-quatrit" (rank-2 quatrit, r in [1/sqrt(3), 1]).
-    The two-step chain composes: the matryoshka radius equals the
-    qubit-in-qutrit radius evaluated at the qutrit-in-quatrit one.
+    A rank-k state of dimension N has t_2 = 1/N + (N-1) r^2 / N, which
+    the embedded qudit matches at
+    r* = sqrt(k (N-1) / (N (k-1)) (r^2 - r_k^2)), zero at the corner
+    radius r_k.  The two-step chain composes: the matryoshka radius
+    equals the qubit-in-qutrit radius evaluated at the qutrit-in-quatrit
+    one.
     """
     try:
-        lo, formula = _EFFECTIVE_RADIUS[kind]
+        N, k = _EMBEDDINGS[kind]
     except KeyError:
         raise ValueError(
-            f"unknown embedding {kind!r}; expected one of {sorted(_EFFECTIVE_RADIUS)}"
+            f"unknown embedding {kind!r}; expected one of {sorted(_EMBEDDINGS)}"
         ) from None
+    lo = _corner_radius(N, k)
     if r < lo - 1e-12 or r > 1.0 + 1e-12:
         raise ValueError(f"{kind} stratum exists for r in [{lo:.6f}, 1], got r={r}")
-    return float(formula(min(max(r, lo), 1.0)))
+    r = min(max(r, lo), 1.0)
+    return math.sqrt(k * (N - 1) / (N * (k - 1)) * (r * r - lo * lo))
 
 
 def rank2_curve_radius(phi: float) -> float:
     """Radial coordinate of the rank-2 qutrit stratum, r = 1/(2 sin(phi/3)).
 
-    Stays within the Bloch ball for phi in [pi/2, 3pi/2].
+    That is r_2 / sin(phi/3), with r_2 = 1/2 the corner radius of
+    (1/2, 1/2, 0).  Stays within the Bloch ball for phi in [pi/2, 3pi/2].
     """
     s = math.sin(phi / 3.0)
     if s <= 0.0:
         raise ValueError(f"rank-2 curve undefined at phi={phi} (sin(phi/3) <= 0)")
-    return 1.0 / (2.0 * s)
+    return _corner_radius(3, 2) / s
 
 
 def quatrit_rank3_cos_theta(r: float) -> float:
-    """Polar angle of the rank-3 quatrit surface: cos(theta) = 1/(3r), r in [1/3, 1]."""
-    if r < 1.0 / 3.0 - 1e-12 or r > 1.0 + 1e-12:
-        raise ValueError(f"rank-3 surface exists for r in [1/3, 1], got r={r}")
-    return float(min(1.0, 1.0 / (3.0 * r)))
+    """Polar angle of the rank-3 quatrit surface: cos(theta) = 1/(3r), r in [1/3, 1].
+
+    The surface is the slice I_15 = r_3 of the last Cartan axis, where
+    r_3 = 1/3 is the Bloch radius of the corner (1/3, 1/3, 1/3, 0).
+    """
+    lo = _corner_radius(4, 3)
+    if r < lo - 1e-12 or r > 1.0 + 1e-12:
+        raise ValueError(f"rank-3 surface exists for r in [{lo:.6f}, 1], got r={r}")
+    return min(1.0, lo / r)
 
 
 def trisectrix_residual(r: float, phi: float) -> float:
     """Implicit Maclaurin-trisectrix equation evaluated at a polar point.
 
-    With x = r cos(phi), y = r sin(phi) and node parameter a = 1/2 the
-    curve is (x^2 + y^2)(y - 3a) + 4a^3 = 0; the rank-2 qutrit stratum
+    With x = r cos(phi), y = r sin(phi) and node parameter a = r_2 = 1/2
+    the curve is (x^2 + y^2)(y - 3a) + 4a^3 = 0; the rank-2 qutrit stratum
     r = 1/(2 sin(phi/3)) makes the residual vanish identically.
     """
+    a = _corner_radius(3, 2)
     y = r * np.sin(phi)
-    return float(r * r * (y - 1.5) + 0.5)
+    return float(r * r * (y - 3.0 * a) + 4.0 * a**3)
 
 
-def _ordered_simplex_constraints(N: int):
-    """Rows a with a . x >= 0 cutting the ordered simplex out of sum(x)=1."""
-    rows = []
-    for i in range(N - 1):
-        a = np.zeros(N)
-        a[i] = 1.0
-        a[i + 1] = -1.0
-        rows.append(a)
-    last = np.zeros(N)
-    last[N - 1] = 1.0
-    rows.append(last)
-    return np.array(rows)
+def _corner_radius(N: int, k: int) -> float:
+    """Bloch radius r_k = sqrt((N/k - 1)/(N - 1)) of the corner
+    v_k = (1/k, ..., 1/k, 0, ..., 0) of the ordered simplex.
+
+    r_k is where the rank-k stratum begins: 1 for k = 1 down to 0 for
+    k = N, and 1, 1/sqrt(3), 1/3, 0 for a quatrit.
+    """
+    return math.sqrt((N - k) / (k * (N - 1)))
+
+
+def _corner(N: int, k: int) -> np.ndarray:
+    """The corner v_k = (1/k, ..., 1/k, 0, ..., 0) of the ordered simplex."""
+    return np.concatenate((np.full(k, 1.0 / k), np.zeros(N - k)))
 
 
 def _sphere_radius(N: int, r: float) -> float:
@@ -330,72 +339,44 @@ def _sphere_radius(N: int, r: float) -> float:
 def _polyhedron_vertices(N: int, r: float) -> np.ndarray:
     """Vertices of (ordered simplex) ∩ (sphere at radius r), as spectra.
 
-    Each vertex lies on two facets; candidates come from intersecting the
-    sphere with every facet pair and keeping the points satisfying all
-    remaining inequalities, deduplicated at 1e-9.
+    The vertices are where the sphere crosses the edges v_j v_k (j < k)
+    of the simplex.  Seen from the centre c = v_N the foot of the edge's
+    perpendicular is v_k, as (v_k - c).(v_j - v_k) = 0, so the distance
+    to c grows monotonically along the edge and the sphere crosses it
+    once, at v_k + s (v_j - v_k) with s = sqrt((r^2 - r_k^2)/(r_j^2 - r_k^2)),
+    whenever r_k <= r <= r_j.  Inside (r_{k+1}, r_k) that makes k (N - k)
+    vertices; a crossing at s = 0 or 1 is a corner, counted once.
     """
-    center = np.full(N, 1.0 / N)
-    R = _sphere_radius(N, r)
-    constraints = _ordered_simplex_constraints(N)
-    ones = np.ones(N)
-    candidates = []
-    m = len(constraints)
-    for i in range(m):
-        for j in range(i + 1, m):
-            A = np.vstack([ones, constraints[i], constraints[j]])
-            b = np.array([1.0, 0.0, 0.0])
-            p, *_ = np.linalg.lstsq(A, b, rcond=None)
-            _, sv, vt = np.linalg.svd(A)
-            if sv[-1] < 1e-12:
+    r = min(r, 1.0)
+    radii = [_corner_radius(N, k) for k in range(1, N + 1)]
+    vertices = {}
+    for j in range(1, N):
+        for k in range(j + 1, N + 1):
+            rj, rk = radii[j - 1], radii[k - 1]
+            if not rk <= r <= rj:
                 continue
-            v = vt[-1]
-            # line p + s v meets the sphere |x - center| = R where
-            # s^2 + 2 s v.(p - center) + |p - center|^2 - R^2 = 0
-            half_b = float(v @ (p - center))
-            c0 = float((p - center) @ (p - center)) - R * R
-            disc = half_b * half_b - c0
-            if disc < 0.0:
-                continue
-            for s in (-half_b + math.sqrt(disc), -half_b - math.sqrt(disc)):
-                x = p + s * v
-                if np.all(constraints @ x >= -VERTEX_DEDUP_TOL):
-                    candidates.append(x)
-    vertices = []
-    for x in candidates:
-        if not any(np.linalg.norm(x - y) < VERTEX_DEDUP_TOL for y in vertices):
-            vertices.append(x)
-    vertices.sort(key=lambda x: tuple(np.round(x, 12)))
-    return np.array(vertices) if vertices else np.empty((0, N))
+            s = math.sqrt((r * r - rk * rk) / (rj * rj - rk * rk))
+            if s == 0.0:
+                vertices[k] = _corner(N, k)
+            elif s == 1.0:
+                vertices[j] = _corner(N, j)
+            else:
+                vk = _corner(N, k)
+                vertices[j, k] = vk + s * (_corner(N, j) - vk)
+    return np.array(sorted(vertices.values(), key=lambda x: tuple(np.round(x, 12))))
 
 
-@lru_cache(maxsize=None)
 def polyhedron_transition_radii(N: int = 4) -> tuple:
     """Radii where the vertex count of the quatrit polyhedron changes.
 
-    Found by bisection on the exact facet tests: the count goes 3 -> 4
-    when the triple-degeneracy vertex crosses r_4 = 0, and 4 -> 3 when the
-    doubly-paired vertex leaves the simplex (the onset of the rank-2
-    stratum).  Nothing is assumed about the values; they are computed.
+    These are the corner radii (r_3, r_2) = (1/3, 1/sqrt(3)): the count
+    goes 3 -> 4 when the sphere passes the corner (1/3, 1/3, 1/3, 0), the
+    onset of the rank-3 stratum, and 4 -> 3 when it passes
+    (1/2, 1/2, 0, 0), the onset of the rank-2 stratum.
     """
     if N != 4:
         raise ValueError("transition radii are only classified for N = 4")
-
-    def count(r: float) -> int:
-        return len(_polyhedron_vertices(4, r))
-
-    radii = []
-    for lo, hi, pred in ((0.05, 0.5, lambda c: c >= 4), (0.5, 0.999, lambda c: c <= 3)):
-        a, b = lo, hi
-        if pred(count(a)) or not pred(count(b)):
-            raise RuntimeError("bisection bracket does not straddle a transition")
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            if pred(count(mid)):
-                b = mid
-            else:
-                a = mid
-        radii.append(0.5 * (a + b))
-    return tuple(radii)
+    return (_corner_radius(4, 3), _corner_radius(4, 2))
 
 
 def intersection_polyhedron(N: int, r: float) -> dict:
@@ -406,29 +387,34 @@ def intersection_polyhedron(N: int, r: float) -> dict:
     geometric opening angle (phi range divided by three) and the endpoint
     spectra.  For N = 4 it is a spherical polygon on the sphere of radius
     (sqrt(3)/2) r: the report lists the vertices, classifies triangle
-    versus quadrilateral, and attaches the two bisection-computed
-    transition radii.
+    versus quadrilateral, and attaches the two transition radii, the
+    corner radii r_3 = 1/3 and r_2 = 1/sqrt(3).
     """
     if not 0.0 <= r <= 1.0 + 1e-12:
         raise ValueError(f"Bloch radius must lie in [0, 1], got {r}")
+    if N not in (3, 4):
+        raise ValueError(f"intersection geometry is implemented for N = 3 and 4, got N={N}")
+    center = _corner(N, N).tolist()
     if N == 3:
         if r == 0.0:
             return {
                 "N": 3,
                 "r": 0.0,
                 "circle_radius": 0.0,
-                "center": [1 / 3, 1 / 3, 1 / 3],
+                "center": center,
                 "kind": "point",
                 "phi_range": None,
                 "arc_angle": 0.0,
-                "endpoints": [[1 / 3, 1 / 3, 1 / 3]],
+                "endpoints": [center],
             }
+        # past r_2 = 1/2 the rank-2 curve r = r_2 / sin(phi/3) cuts the arc
+        r2 = _corner_radius(3, 2)
         phi_lo = math.pi / 2.0
-        if r <= 0.5:
+        if r <= r2:
             phi_hi = 3.0 * math.pi / 2.0
             kind = "full-chamber arc"
         else:
-            phi_hi = 3.0 * math.asin(1.0 / (2.0 * r))
+            phi_hi = 3.0 * math.asin(r2 / r)
             kind = "arc truncated by r_3 = 0"
         ends = []
         for phi in (phi_lo, phi_hi):
@@ -438,29 +424,24 @@ def intersection_polyhedron(N: int, r: float) -> dict:
             "N": 3,
             "r": float(r),
             "circle_radius": _sphere_radius(3, r),
-            "center": [1 / 3, 1 / 3, 1 / 3],
+            "center": center,
             "kind": kind,
             "phi_range": [phi_lo, phi_hi],
             "arc_angle": (phi_hi - phi_lo) / 3.0,
             "endpoints": ends,
         }
-    if N == 4:
-        vertices = _polyhedron_vertices(4, r)
-        nv = len(vertices)
-        kind = {3: "spherical triangle", 4: "spherical quadrilateral"}.get(
-            nv, "point" if nv <= 1 else f"{nv}-vertex polygon"
-        )
-        return {
-            "N": 4,
-            "r": float(r),
-            "sphere_radius": _sphere_radius(4, r),
-            "center": [0.25, 0.25, 0.25, 0.25],
-            "kind": kind,
-            "n_vertices": nv,
-            "vertices": [[float(x) for x in v] for v in vertices],
-            "transition_radii": list(polyhedron_transition_radii(4)),
-        }
-    raise ValueError(f"intersection geometry is implemented for N = 3 and 4, got N={N}")
+    vertices = _polyhedron_vertices(4, r)
+    nv = len(vertices)
+    return {
+        "N": 4,
+        "r": float(r),
+        "sphere_radius": _sphere_radius(4, r),
+        "center": center,
+        "kind": {1: "point", 3: "spherical triangle", 4: "spherical quadrilateral"}[nv],
+        "n_vertices": nv,
+        "vertices": vertices.tolist(),
+        "transition_radii": list(polyhedron_transition_radii(4)),
+    }
 
 
 def darboux_point(coords: OrbitCoordinates) -> np.ndarray:

@@ -276,18 +276,20 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
 
 
 def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndarray:
-    """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k,
-    with its dot products as contiguous matmuls, which round as np.dot."""
+    """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k.
+
+    |S_j| is kept reversed, rev[:, N - j] = |S_j|, so each noise term is
+    np.vecdot over forward, unit-stride row slices, which rounds as the
+    np.dot of the single-tuple rule (on a negative-stride view it does not).
+    """
     B, N = S.shape
     eps = np.finfo(float).eps
-    S0 = np.abs(np.concatenate((np.ones((B, 1)), S), axis=1))
+    rev = np.abs(np.concatenate((S[:, ::-1], np.ones((B, 1))), axis=1))
     tv = np.abs(T)
     rank = np.full(B, N)
     undecided = np.ones(B, dtype=bool)
     for k in range(1, N):
-        lhs = np.ascontiguousarray(S0[:, k::-1])[:, np.newaxis, :]
-        rhs = np.ascontiguousarray(tv[:, : k + 1])[:, :, np.newaxis]
-        noise = eps * (lhs @ rhs)[:, 0, 0]
+        noise = eps * np.vecdot(rev[:, N - k :], tv[:, : k + 1])
         hit = undecided & (S[:, k] <= tol * S[:, k - 1] + noise)
         rank[hit] = k
         undecided &= ~hit

@@ -66,6 +66,16 @@ def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch
     assert 'line 4: record field "N" 4 disagrees with input dimension 3' in err
 
 
+def test_batch_check_counts_float_overflow_as_parse_failure(capsys, monkeypatch):
+    # a JSON integer past the float range, followed by a valid record
+    lines = ['{"xi": [1' + "0" * 400 + ", 0, 0]}", json.dumps({"xi": [0.0] * 3})]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check")
+    assert code == 1
+    assert [json.loads(line)["rank"] for line in out.strip().splitlines()] == [2]
+    assert err.splitlines() == ["line 1: int too large to convert to float"]
+
+
 def test_batch_check_reports_malformed_rho_cells(capsys, monkeypatch):
     lines = [
         json.dumps({"rho": [[[0.5]]]}),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from quditorbits import orbit_space
 from quditorbits.orbit_space import (
     ANGLE_CONVENTION,
     OrbitCoordinates,
@@ -234,6 +235,23 @@ def test_effective_radius_endpoints():
     )
 
 
+def test_effective_radius_matches_closed_forms():
+    closed_forms = {
+        "qubit-in-qutrit": (0.5, lambda r: (2.0 / math.sqrt(3.0)) * math.sqrt(r * r - 0.25)),
+        "qutrit-in-quatrit": (
+            1.0 / 3.0,
+            lambda r: (3.0 / (2.0 * math.sqrt(2.0))) * math.sqrt(r * r - 1.0 / 9.0),
+        ),
+        "qubit-in-qutrit-in-quatrit": (
+            1.0 / math.sqrt(3.0),
+            lambda r: (3.0 / math.sqrt(6.0)) * math.sqrt(r * r - 1.0 / 3.0),
+        ),
+    }
+    for kind, (lo, formula) in closed_forms.items():
+        for r in np.linspace(lo + 1e-3, 1.0, 400):
+            assert effective_radius(kind, r) == pytest.approx(formula(r), abs=1e-14)
+
+
 def test_effective_radius_domain_errors():
     with pytest.raises(ValueError):
         effective_radius("qubit-in-qutrit", 0.3)
@@ -405,8 +423,48 @@ def test_intersection_polyhedron_vertices_valid():
 
 def test_polyhedron_transition_radii():
     lo, hi = polyhedron_transition_radii(4)
-    assert lo == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert hi == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
+    assert lo == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert hi == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
+    # and against the vertex counts on either side: 3 -> 4, then 4 -> 3
+    for r, below, above in ((lo, 3, 4), (hi, 4, 3)):
+        assert intersection_polyhedron(4, r - 1e-6)["n_vertices"] == below
+        assert intersection_polyhedron(4, r + 1e-6)["n_vertices"] == above
+
+
+def test_polyhedron_has_no_spurious_vertex_near_transitions():
+    for r in np.linspace(0.0, 1.0, 2001):
+        assert intersection_polyhedron(4, r)["n_vertices"] <= 4
+    for e in range(4, 13):
+        step = 10.0 ** -e
+        third = intersection_polyhedron(4, 1.0 / 3.0 + step)
+        assert (third["kind"], third["n_vertices"]) == ("spherical quadrilateral", 4)
+        root = intersection_polyhedron(4, 1.0 / math.sqrt(3.0) + step)
+        assert (root["kind"], root["n_vertices"]) == ("spherical triangle", 3)
+
+
+def _ordered_simplex_vertex(x, tol=1e-12):
+    """x is a spectrum on the ordered simplex lying on at least N - 2 of its
+    N facets x_i = x_{i+1}, x_N = 0, i.e. on one of its edges."""
+    facets = np.append(-np.diff(x), x[-1])
+    on_simplex = abs(x.sum() - 1.0) < tol and np.all(facets >= -tol)
+    return on_simplex and np.sum(facets < tol) >= len(x) - 2
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_polyhedron_vertex_count_between_corner_radii(N):
+    # inside (r_{k+1}, r_k) the sphere meets the k (N - k) edges joining
+    # the corners v_1..v_k to v_{k+1}..v_N, each once
+    corners = [math.sqrt((N / k - 1.0) / (N - 1.0)) for k in range(1, N + 1)]
+    for k in range(1, N):
+        for r in np.linspace(corners[k], corners[k - 1], 7)[1:-1]:
+            vertices = orbit_space._polyhedron_vertices(N, r)
+            assert len(vertices) == k * (N - k)
+            R = math.sqrt((N - 1) / N) * r
+            for v in vertices:
+                assert _ordered_simplex_vertex(v)
+                assert np.linalg.norm(v - 1.0 / N) == pytest.approx(R, abs=1e-14)
+            gaps = np.linalg.norm(vertices[:, None] - vertices[None], axis=2)
+            assert np.all(gaps + np.eye(len(vertices)) > 1e-9)
 
 
 def test_intersection_validation():

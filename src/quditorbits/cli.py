@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -221,13 +222,12 @@ def _cmd_invariants(args) -> int:
     _require_dim(args.N, N)
     t = inv.trace_invariants(rho)
     S = inv.char_coefficients(t)
-    B = inv.bezoutian(t)
     record = {
         "N": N,
         "t": [t.t(k) for k in range(1, N + 1)],
         "S": list(S),
-        "disc": float(np.linalg.det(B)),
-        "bezoutian_rank": inv.bezoutian_rank(B),
+        "disc": inv.discriminant(t),
+        "bezoutian_rank": inv.bezoutian_rank(inv.bezoutian(t)),
         "casimirs": inv.casimirs(xi, algebra_tensors(N)).as_dict(),
     }
     _emit([_dumps(record)], args.out)
@@ -354,9 +354,22 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every word opening with "-" and a digit
+    (or "-." and a digit) for a value, not an option, so that --tol -1e-3
+    and --xi -0.1,0,... parse.  argparse's own negative-number pattern
+    knows neither exponents nor comma lists; no option here looks like a
+    number, so nothing else changes.  Subparsers are of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditorbits",
         description="su(N) algebra, positivity tests, and orbit-space geometry "
         "of qudit density matrices",

@@ -6,6 +6,13 @@ Bezoutian matrix B_ij = t_{i+j-2} whose determinant is the spectral
 discriminant, and the Casimir invariants built from the adjoint vector
 with the symmetric vee product.
 
+A trace tuple (TraceInvariants) holds its values read-only and forms its
+S_k, its Newton extension through t_{2N-2}, its Bezoutian and its
+discriminant at most once, on first use; char_coefficients,
+newton_extend, bezoutian and discriminant hand these out read-only, so a
+caller that asks for the same invariant twice, as the trace route's
+check followed by discriminant does, pays for it once.
+
 Two closed-form families are included for cross-checking the orbit
 parameterization: t_3 of a qutrit as an explicit polynomial in the eight
 Bloch components, and t_2, t_3, t_4 of a quatrit as trigonometric
@@ -15,6 +22,7 @@ polynomials in the radial coordinate and the two sphere angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +41,22 @@ BEZOUTIAN_RANK_CUTOFF = 1e-13
 class TraceInvariants:
     """Power-sum traces t_1..t_m of an N x N unit-trace Hermitian matrix.
 
-    values[k-1] holds t_k; t_0 = N by convention.
+    values[k-1] holds t_k; t_0 = N by convention.  values is the tuple's
+    own read-only float64 copy of what it was built from (an array, a
+    tuple or a list), so the tuple never changes.  That makes its derived
+    invariants safe to keep: S_1..S_N, the Newton extension through
+    t_{2N-2}, the Bezoutian and its determinant are each formed at most
+    once per tuple, on first use by char_coefficients, newton_extend,
+    bezoutian or discriminant, and handed out read-only.
     """
 
     dim: int
     values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -49,6 +68,31 @@ class TraceInvariants:
         if not 1 <= k <= self.order:
             raise ValueError(f"t_{k} not available (have t_1..t_{self.order})")
         return float(self.values[k - 1])
+
+    @cached_property
+    def _S(self) -> np.ndarray:
+        return _newton_coefficients(self.values, self.dim)
+
+    @cached_property
+    def _power_sums(self) -> np.ndarray:
+        """t_0..t_m, m = max(order, 2N - 2): the traces, Newton-extended as
+        far as the Bezoutian reads."""
+        head = np.concatenate(([float(self.dim)], self.values))
+        upto = 2 * self.dim - 2
+        ext = head if upto <= self.order else _extend(head, char_coefficients(self), upto)
+        ext.flags.writeable = False
+        return ext
+
+    @cached_property
+    def _bezoutian(self) -> np.ndarray:
+        i = np.arange(self.dim)
+        B = self._power_sums[np.add.outer(i, i)]
+        B.flags.writeable = False
+        return B
+
+    @cached_property
+    def _disc(self) -> float:
+        return float(np.linalg.det(self._bezoutian))
 
 
 @dataclass(frozen=True)
@@ -78,13 +122,15 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     Notes
     -----
     Traces of Hermitian powers are real; the imaginary residue is checked
-    against 1e-12 (relative to the trace magnitude) and discarded.
+    against 1e-12 (relative to the trace magnitude) and discarded.  The
+    powers fill one (upto, N, N) buffer and are traced and checked
+    together; the lowest power with a residue names it in the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     N = rho.shape[0]
-    defect = np.max(np.abs(rho - rho.conj().T))
+    defect = np.abs(rho - rho.conj().T).max()
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {defect:.3e}")
     if upto is None:
@@ -92,16 +138,17 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     if upto < 1:
         raise ValueError(f"need at least t_1, got upto={upto}")
 
-    values = np.empty(upto)
-    power = rho
-    for k in range(1, upto + 1):
-        tk = np.trace(power)
-        if abs(tk.imag) > HERMITICITY_TOL * max(1.0, abs(tk)):
-            raise ValueError(f"trace of power {k} has imaginary residue {tk.imag:.3e}")
-        values[k - 1] = tk.real
-        if k < upto:
-            power = power @ rho
-    return TraceInvariants(dim=N, values=values)
+    powers = np.empty((upto, N, N), dtype=complex)
+    powers[0] = rho
+    for k in range(1, upto):
+        np.matmul(powers[k - 1], rho, out=powers[k])
+    tk = powers.trace(axis1=1, axis2=2)
+    # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
+    residue = np.abs(tk.imag) > HERMITICITY_TOL * np.fmax(np.abs(tk), 1.0)
+    if residue.any():
+        k = int(residue.argmax())
+        raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
+    return TraceInvariants(dim=N, values=tk.real)
 
 
 def _trace_invariants_stack(rhos: np.ndarray):
@@ -139,15 +186,21 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
     """Characteristic coefficients S_1..S_N by the Newton recursion.
 
     k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
-    the k-th elementary symmetric polynomial of the eigenvalues.
+    the k-th elementary symmetric polynomial of the eigenvalues.  Formed
+    once per tuple; the array is read-only.
     """
-    N = t.dim
-    if t.order < N:
-        raise ValueError(f"need t_1..t_{N} to form S_1..S_{N}, have order {t.order}")
-    signed_t = t.values[:N] * (-1.0) ** np.arange(N)
+    if t.order < t.dim:
+        raise ValueError(f"need t_1..t_{t.dim} to form S_1..S_{t.dim}, have order {t.order}")
+    return t._S
+
+
+def _newton_coefficients(values: np.ndarray, N: int) -> np.ndarray:
+    """The Newton recursion behind char_coefficients, from t_1..t_N."""
+    signed_t = values[:N] * (-1.0) ** np.arange(N)
     S = np.ones(N + 1)
     for k in range(1, N + 1):
         S[k] = np.dot(S[k - 1 :: -1], signed_t[:k]) / k
+    S.flags.writeable = False
     return S[1:]
 
 
@@ -173,42 +226,46 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     """Extend a trace tuple past t_N with the Newton recursion.
 
     t_k = S_1 t_{k-1} - S_2 t_{k-2} + ... -(-1)^N S_N t_{k-N} for k > N.
-    Returns the input unchanged when it already reaches `upto`.
+    Returns the input unchanged when it already reaches `upto`.  The
+    extension through t_{2N-2} is the one the Bezoutian reads, formed once
+    per tuple; the new tuple shares the input's S.
     """
     if upto <= t.order:
         return t
-    return _newton_extend(t, char_coefficients(t), upto)
+    ext = t._power_sums
+    if upto >= len(ext):
+        ext = _extend(ext, char_coefficients(t), upto)
+    extended = TraceInvariants(dim=t.dim, values=ext[1 : upto + 1])
+    extended.__dict__["_S"] = char_coefficients(t)  # the same t_1..t_N
+    return extended
 
 
-def _newton_extend(t: TraceInvariants, S: np.ndarray, upto: int) -> TraceInvariants:
-    """newton_extend past t.order < upto, from S = char_coefficients(t)."""
-    N = t.dim
+def _extend(head: np.ndarray, S: np.ndarray, upto: int) -> np.ndarray:
+    """t_0..t_upto from t_0..t_m (N <= m < upto) and S_1..S_N, continuing
+    the Newton recursion.  Each step reads only the N values before it, so
+    stopping and resuming gives the same bits as one run."""
+    N = len(S)
     signed_S = S * (-1.0) ** np.arange(N)
-    ext = np.concatenate(([float(N)], t.values, np.empty(upto - t.order)))
-    for k in range(t.order + 1, upto + 1):
+    ext = np.concatenate((head, np.empty(upto + 1 - len(head))))
+    for k in range(len(head), upto + 1):
         ext[k] = np.dot(signed_S, ext[k - 1 : k - N - 1 : -1])
-    return TraceInvariants(dim=N, values=ext[1:])
+    return ext
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:
-    """Bezoutian (Hankel) matrix B_ij = t_{i+j-2}, i, j = 1..N, t_0 = N."""
-    N = t.dim
-    ext = np.concatenate(([float(N)], newton_extend(t, 2 * N - 2).values))
-    i = np.arange(N)
-    return ext[np.add.outer(i, i)]
+    """Bezoutian (Hankel) matrix B_ij = t_{i+j-2}, i, j = 1..N, t_0 = N.
+
+    Formed once per tuple; the array is read-only.
+    """
+    return t._bezoutian
 
 
 def discriminant(t: TraceInvariants) -> float:
-    """det B = prod_{i<j} (r_i - r_j)^2, the discriminant of the spectrum."""
-    return float(np.linalg.det(bezoutian(t)))
+    """det B = prod_{i<j} (r_i - r_j)^2, the discriminant of the spectrum.
 
-
-def _discriminant(t: TraceInvariants, S: np.ndarray) -> float:
-    """discriminant(t) from S = char_coefficients(t) that the caller has
-    already formed, so that the extension does not form it again."""
-    upto = 2 * t.dim - 2
-    ext = t if upto <= t.order else _newton_extend(t, S, upto)
-    return discriminant(ext)
+    Formed once per tuple.
+    """
+    return t._disc
 
 
 def bezoutian_rank(B: np.ndarray, cutoff: float | None = None) -> int:
@@ -231,9 +288,8 @@ def grad_matrix(t: TraceInvariants) -> np.ndarray:
     Being a congruence by an invertible diagonal matrix, Grad is positive
     semidefinite exactly when B is.
     """
-    B = bezoutian(t)
     d = np.arange(1, t.dim + 1, dtype=float)
-    return B * np.outer(d, d)
+    return bezoutian(t) * np.outer(d, d)
 
 
 def casimirs(xi: np.ndarray, tensors: StructureTensors) -> CasimirValues:

@@ -38,6 +38,7 @@ under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,9 +47,9 @@ import numpy as np
 from .invariants import (
     TraceInvariants,
     _char_coefficients_stack,
-    _discriminant,
     _trace_invariants_stack,
     char_coefficients,
+    discriminant,
     trace_invariants,
 )
 from .su_algebra import gell_mann_basis
@@ -65,6 +66,8 @@ JACOBI_MAX_SWEEPS = 100
 
 # Bloch-rejection sampling gives up after this many proposals per state.
 REJECTION_MAX_TRIES = 1_000_000
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,14 @@ def dim_from_bloch(xi) -> int:
     return N
 
 
+@functools.cache
+def _identity_over(N: int) -> np.ndarray:
+    """I/N as a read-only complex N x N array, the centre of the Bloch embedding."""
+    centre = np.eye(N, dtype=complex) / N
+    centre.flags.writeable = False
+    return centre
+
+
 def from_bloch(xi: np.ndarray) -> np.ndarray:
     """Assemble rho = I/N + sqrt((N-1)/(2N)) sum_i xi_i lam_i.
 
@@ -110,7 +121,7 @@ def from_bloch(xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     N = dim_from_bloch(xi)
     lam = gell_mann_basis(N).elements
-    return np.eye(N, dtype=complex) / N + bloch_scale(N) * np.einsum("i,ijk->jk", xi, lam)
+    return _identity_over(N) + bloch_scale(N) * np.einsum("i,ijk->jk", xi, lam)
 
 
 def to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -124,10 +135,10 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     N = rho.shape[0]
     if N < 2:
         raise ValueError("need N >= 2")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
-    defect = np.max(np.abs(rho - rho.conj().T))
+    defect = np.abs(rho - rho.conj().T).max()
     if defect > 1e-10:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     lam = gell_mann_basis(N).elements
@@ -265,14 +276,17 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
     A negative S_{k+1} also ends the count, so for a matrix that is not
     a state the number is a reading of the S_k, not its matrix rank.
     """
-    eps = np.finfo(float).eps
-    S0 = np.concatenate(([1.0], S))
+    N = len(S)
+    # |S_j| reversed, rev[N - j] = |S_j| with S_0 = 1, so that |S_k|..|S_0|
+    # is the forward slice rev[N - k:]
+    rev = np.ones(N + 1)
+    np.abs(S[::-1], out=rev[:N])
     tv = np.abs(t.values)
-    for k in range(1, len(S)):
-        noise = eps * float(np.dot(np.abs(S0[k::-1]), tv[: k + 1]))
+    for k in range(1, N):
+        noise = _EPS * float(np.dot(rev[N - k :], tv[: k + 1]))
         if S[k] <= tol * S[k - 1] + noise:
             return k
-    return len(S)
+    return N
 
 
 def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndarray:
@@ -283,13 +297,12 @@ def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndar
     np.dot of the single-tuple rule (on a negative-stride view it does not).
     """
     B, N = S.shape
-    eps = np.finfo(float).eps
     rev = np.abs(np.concatenate((S[:, ::-1], np.ones((B, 1))), axis=1))
     tv = np.abs(T)
     rank = np.full(B, N)
     undecided = np.ones(B, dtype=bool)
     for k in range(1, N):
-        noise = eps * np.vecdot(rev[:, N - k :], tv[:, : k + 1])
+        noise = _EPS * np.vecdot(rev[:, N - k :], tv[:, : k + 1])
         hit = undecided & (S[:, k] <= tol * S[:, k - 1] + noise)
         rank[hit] = k
         undecided &= ~hit
@@ -318,7 +331,7 @@ def _classify(
     disc of +inf leaves the discriminant out, whatever the sign of tol.
     The rank comes from the S_k by _rank_from_ratios.
     """
-    margin = float(np.min(S))
+    margin = float(S.min())
     is_state = bool(margin >= -tol and disc >= -tol)
     return _verdict(is_state, _rank_from_ratios(S, t, tol), t.dim, margin, tol)
 
@@ -351,14 +364,14 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
 
     Requires t_1 = 1 within 1e-10 (raises otherwise), then demands
     disc >= 0 and S_k >= 0 for k = 1..N through _classify, the core
-    shared with check_state_bloch.  S is formed once and also serves the
-    Newton extension behind the discriminant.  No matrix and no
-    eigensolver are touched.
+    shared with check_state_bloch.  S and disc are the tuple's own, formed
+    once (S also serves the Newton extension behind disc), so a later
+    discriminant(t) forms nothing again.  No matrix and no eigensolver are
+    touched.
     """
     if abs(t.t(1) - 1.0) > TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")
-    S = char_coefficients(t)
-    return _classify(t, S, tol, _discriminant(t, S))
+    return _classify(t, char_coefficients(t), tol, discriminant(t))
 
 
 def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
@@ -379,7 +392,7 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     # A row whose powers overflow or turn NaN is judged by its values, as
     # check_state_bloch judges it, but without a RuntimeWarning.
     with np.errstate(all="ignore"):
-        rhos = np.eye(N, dtype=complex) / N + bloch_scale(N) * np.einsum("bi,ijk->bjk", xis, lam)
+        rhos = _identity_over(N) + bloch_scale(N) * np.einsum("bi,ijk->bjk", xis, lam)
         T, errors = _trace_invariants_stack(rhos)
         verdicts = _classify_stack(T, tol)
     return [errors.get(b, verdict) for b, verdict in enumerate(verdicts)]

@@ -50,6 +50,50 @@ def test_check_xi_length_disagreeing_with_n_exits_1(capsys):
     assert "--N 4 disagrees with input dimension 3" in err
 
 
+def test_check_takes_negative_tolerance_in_exponent_form(capsys):
+    # S_2 = 0.9995 * 0.0005 = 5e-4: a state under the default slack, not
+    # under --tol -1e-3, which asks for S_k >= 1e-3
+    xi = "0,0,0.999"
+    assert invoke(capsys, "check", "--xi", xi)[0] == 0
+    code, out, err = invoke(capsys, "check", "--tol", "-1e-3", "--xi", xi)
+    assert (code, err) == (2, "")
+    expected = check_state_bloch(np.array([0.0, 0.0, 0.999]), -1e-3)
+    assert json.loads(out) == {
+        "is_state": False,
+        "rank": expected.rank,
+        "stratum": None,
+        "margin": expected.margin,
+    }
+
+
+def test_check_takes_bloch_vector_with_negative_first_component(capsys):
+    xi = np.zeros(8)
+    xi[0] = -0.1
+    code, out, err = invoke(capsys, "check", "--xi", "-0.1,0,0,0,0,0,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["margin"] == check_state_bloch(xi).margin
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["check", "--xi", "0.1,0,0"], "--tol", "-1e-3"),
+        (["check"], "--xi", "-0.1,0,0,0,0,0,0,0"),
+        (["check"], "--xi", "-.1,0,0"),
+        (["invariants"], "--xi", "-0.2,0,0"),
+        (["invariants"], "--spectrum", "-1e-2,0.51,0.5"),
+        (["param", "--N", "3", "--inverse", "--r", "0.5"], "--angles", "-1e-1"),
+        (["param", "--N", "3", "--inverse", "--angles", "2.0"], "--r", "-1e-1"),
+        (["boundary", "--N", "3"], "--r", "-1e-3"),
+    ],
+)
+def test_option_value_may_start_with_minus(capsys, argv, option, value):
+    # "--opt value" reads as "--opt=value", which argparse always took
+    spaced = invoke(capsys, *argv, option, value)
+    assert spaced == invoke(capsys, *argv, f"{option}={value}")
+    assert "expected one argument" not in spaced[2]
+
+
 def test_batch_check_counts_wrong_dimension_as_parse_failure(capsys, monkeypatch):
     lines = [
         json.dumps({"xi": [0.0] * 8}),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quditorbits.invariants import (
+    TraceInvariants,
     bezoutian,
     bezoutian_rank,
     casimirs,
@@ -94,6 +95,65 @@ def test_newton_extension_reproduces_higher_traces():
 def test_newton_extension_noop():
     t = trace_invariants(diag_state(0.6, 0.4))
     assert newton_extend(t, 2) is t
+
+
+def test_trace_invariants_names_the_power_with_a_residue():
+    # Hermitian within 1e-12, but tr(rho) has an imaginary part of 1.2e-12
+    rho = np.diag([1 / 3 + 4e-13j] * 3)
+    with pytest.raises(ValueError, match=r"trace of power 1 has imaginary residue 1\.200e-12"):
+        trace_invariants(rho)
+
+
+def test_trace_values_are_read_only_copies():
+    own = np.array([1.0, 0.38, 0.16])
+    t = TraceInvariants(dim=3, values=own)
+    assert not t.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t.values[1] = 0.5
+    # the caller's array is copied, not frozen
+    assert own.flags.writeable
+    own[1] = 0.5
+    assert t.t(2) == 0.38
+    rho_t = trace_invariants(diag_state(0.5, 0.3, 0.2))
+    assert not rho_t.values.flags.writeable
+
+
+def test_trace_tuple_from_tuple_or_list():
+    t = trace_invariants(diag_state(0.5, 0.3, 0.2))
+    for values in (tuple(t.values.tolist()), t.values.tolist()):
+        u = TraceInvariants(dim=3, values=values)
+        assert u.values.dtype == np.float64
+        assert u.order == 3
+        assert np.array_equal(char_coefficients(u), char_coefficients(t))
+        assert np.array_equal(bezoutian(u), bezoutian(t))
+        assert discriminant(u) == discriminant(t)
+
+
+def test_derived_arrays_are_read_only():
+    t = trace_invariants(diag_state(0.5, 0.3, 0.2))
+    for a in (
+        char_coefficients(t),
+        bezoutian(t),
+        newton_extend(t, 6).values,
+        char_coefficients(newton_extend(t, 6)),
+    ):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    # so no caller can corrupt what later calls read
+    fresh = trace_invariants(diag_state(0.5, 0.3, 0.2))
+    assert np.array_equal(char_coefficients(t), char_coefficients(fresh))
+    assert np.array_equal(newton_extend(t, 6).values, newton_extend(fresh, 6).values)
+    assert np.array_equal(grad_matrix(t), bezoutian(t) * np.outer([1, 2, 3], [1, 2, 3]))
+
+
+def test_newton_extension_prefixes_agree():
+    # the memoised extension through t_{2N-2} is cut or continued, never redone
+    t = trace_invariants(diag_state(0.4, 0.3, 0.2, 0.1))
+    long = newton_extend(t, 12)
+    for upto in range(5, 12):
+        assert np.array_equal(newton_extend(t, upto).values, long.values[:upto])
+        assert np.array_equal(newton_extend(newton_extend(t, upto), 12).values, long.values)
 
 
 def test_bezoutian_qubit():

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import quditorbits.invariants as invariants
 import quditorbits.state_space as state_space
 from quditorbits.invariants import (
+    TraceInvariants,
     _char_coefficients_stack,
-    _discriminant,
+    bezoutian,
     char_coefficients,
     discriminant,
+    newton_extend,
     trace_invariants,
 )
 from quditorbits.state_space import (
@@ -332,7 +334,8 @@ def test_stacked_check_equals_scalar_check(N):
     for t_row, S_row, rho in zip(T, S, matrices):
         t = trace_invariants(rho)
         assert np.array_equal(S_row, char_coefficients(t))
-        assert _discriminant(t, S_row) == discriminant(t)
+        check_state_traces(t)  # forms the tuple's disc along with its S
+        assert discriminant(t) == discriminant(TraceInvariants(dim=N, values=t_row))
 
 
 def test_stacked_check_sizes():
@@ -345,19 +348,57 @@ def test_stacked_check_sizes():
 
 
 def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
-    calls = []
+    recursions, determinants = [], []
+    newton, det = invariants._newton_coefficients, np.linalg.det
 
-    def counted(t):
-        calls.append(t)
-        return char_coefficients(t)
+    def counted_newton(values, N):
+        recursions.append(N)
+        return newton(values, N)
 
-    monkeypatch.setattr(invariants, "char_coefficients", counted)
-    monkeypatch.setattr(state_space, "char_coefficients", counted)
+    def counted_det(a):
+        determinants.append(a)
+        return det(a)
+
+    monkeypatch.setattr(invariants, "_newton_coefficients", counted_newton)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
     for N in (2, 3, 5, 8):
         rho = sample_states(N, 1, seed=800 + N)[0]
-        calls.clear()
-        check_state_traces(trace_invariants(rho))
-        assert len(calls) == 1
+        recursions.clear()
+        determinants.clear()
+        t = trace_invariants(rho)
+        verdict = check_state_traces(t)
+        assert (len(recursions), len(determinants)) == (1, 1)
+        # the route's usual follow-up forms nothing again
+        disc = discriminant(t)
+        assert check_state_traces(t) == verdict
+        assert char_coefficients(t) is char_coefficients(t)
+        bezoutian(t)
+        assert discriminant(t) == disc
+        assert (len(recursions), len(determinants)) == (1, 1)
+        # nor does an extension of the tuple, which shares its S
+        ext = newton_extend(t, 3 * N)
+        assert char_coefficients(ext) is char_coefficients(t)
+        assert discriminant(ext) == disc
+        assert len(recursions) == 1
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_memoised_invariants_equal_fresh_ones(N):
+    matrices = _route_style_corpus(N, 80, np.random.default_rng(900 + N))
+    for k, rho in enumerate(matrices):
+        t = trace_invariants(rho)
+        # fill the memo through different first calls
+        (check_state_traces, discriminant, lambda u: newton_extend(u, 2 * N))[k % 3](t)
+        fresh = TraceInvariants(dim=N, values=t.values.copy())
+        assert np.array_equal(char_coefficients(t), char_coefficients(fresh))
+        assert np.array_equal(bezoutian(t), bezoutian(fresh))
+        assert discriminant(t) == discriminant(TraceInvariants(dim=N, values=list(t.values)))
+        assert check_state_traces(t) == check_state_traces(fresh)
+        ext = newton_extend(t, 2 * N + 1)
+        assert np.array_equal(ext.values, newton_extend(fresh, 2 * N + 1).values)
+        assert np.array_equal(
+            char_coefficients(ext), char_coefficients(TraceInvariants(N, ext.values))
+        )
 
 
 def test_check_traces_requires_unit_trace():

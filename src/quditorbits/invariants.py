@@ -154,32 +154,24 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
 def _trace_invariants_stack(rhos: np.ndarray):
     """trace_invariants(rho).values for every matrix of a (B, N, N) stack at once.
 
-    The same checks and the same arithmetic as the single-matrix loop, so
-    each row of the (B, N) result is bit-identical to it.  A matrix the
-    loop would reject is not raised on: its row index maps to the loop's
-    ValueError in the returned dict, and its row of values is undefined.
+    Returns the (B, N) values, each row bit-identical to the single-matrix
+    loop's, and a (B,) mask that is True where trace_invariants would
+    raise; such a row's values are undefined.  The caller re-judges a
+    masked row through trace_invariants, the one owner of its checks and
+    their messages.
     """
     B, N = rhos.shape[0], rhos.shape[-1]
-    errors = {}
     defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-    for b in np.flatnonzero(defect > HERMITICITY_TOL):
-        errors[int(b)] = ValueError(
-            f"matrix is not Hermitian: max |rho - rho^dag| = {defect[b]:.3e}"
-        )
+    rejected = defect > HERMITICITY_TOL
     T = np.empty((B, N))
     power = rhos
     for k in range(1, N + 1):
         tk = np.trace(power, axis1=1, axis2=2)
-        size = np.abs(tk)
-        residue = np.abs(tk.imag) > HERMITICITY_TOL * np.where(size > 1.0, size, 1.0)
-        for b in np.flatnonzero(residue):
-            errors.setdefault(
-                int(b), ValueError(f"trace of power {k} has imaginary residue {tk[b].imag:.3e}")
-            )
+        rejected |= np.abs(tk.imag) > HERMITICITY_TOL * np.fmax(np.abs(tk), 1.0)
         T[:, k - 1] = tk.real
         if k < N:
             power = power @ rhos
-    return T, errors
+    return T, rejected
 
 
 def char_coefficients(t: TraceInvariants) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .su_algebra import WeightSystem, darboux_frame, weight_vectors
+from .su_algebra import darboux_frame, weight_vectors
 
 ANGLE_CONVENTION = "nested-polar-phi3-last-cartan-axis"
 
@@ -103,20 +103,21 @@ def unit_vector(N: int, angles) -> np.ndarray:
     return n
 
 
-def spectrum_from_orbit(coords: OrbitCoordinates, weights: WeightSystem | None = None) -> OrbitSpectrum:
+def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
     """Eigenvalue tuple of the orbit, r_i = 1/N + sqrt(2(N-1)/N) r mu_i.n.
 
     The raw tuple keeps the weight ordering (descending exactly when the
     coordinates lie in the ordered domain); `ordered` is sorted, and
-    `valid` flags nonnegativity of the smallest eigenvalue.
+    `valid` flags nonnegativity of the smallest eigenvalue.  A negative
+    or NaN radius is no orbit coordinate and raises; a radius above 1
+    gives a tuple that is not `valid`.
     """
     N = coords.dim
-    if weights is None:
-        weights = weight_vectors(N)
-    if weights.dim != N:
-        raise ValueError(f"weight system is for N={weights.dim}, coordinates for N={N}")
+    if not coords.radius >= 0.0:
+        raise ValueError(f"orbit radius must be nonnegative, got {coords.radius}")
     n = unit_vector(N, coords.angles)
-    raw = 1.0 / N + math.sqrt(2.0 * (N - 1) / N) * coords.radius * (weights.weights @ n)
+    mu = weight_vectors(N).weights
+    raw = 1.0 / N + math.sqrt(2.0 * (N - 1) / N) * coords.radius * (mu @ n)
     ordered = np.sort(raw)[::-1]
     return OrbitSpectrum(raw=raw, ordered=ordered, valid=bool(ordered[-1] >= -ORDER_TOL))
 
@@ -133,7 +134,7 @@ def cartan_moduli(spectrum: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 * N / (N - 1)) * (spectrum @ mu)
 
 
-def orbit_from_spectrum(spectrum, weights: WeightSystem | None = None) -> OrbitCoordinates:
+def orbit_from_spectrum(spectrum) -> OrbitCoordinates:
     """Invert the parameterization: spectrum -> (radius, angles).
 
     Expects a descending spectrum summing to 1.  The maximally mixed point
@@ -144,8 +145,6 @@ def orbit_from_spectrum(spectrum, weights: WeightSystem | None = None) -> OrbitC
     N = len(spectrum)
     if N < 2:
         raise ValueError("need N >= 2")
-    if weights is not None and weights.dim != N:
-        raise ValueError(f"weight system is for N={weights.dim}, spectrum for N={N}")
     if abs(spectrum.sum() - 1.0) > 1e-10:
         raise ValueError(f"spectrum sums to {spectrum.sum()}, expected 1")
     if np.any(np.diff(spectrum) > 1e-10):
@@ -169,7 +168,7 @@ def orbit_from_spectrum(spectrum, weights: WeightSystem | None = None) -> OrbitC
     return OrbitCoordinates(dim=N, radius=r, angles=angles)
 
 
-def ordered_domain_check(coords: OrbitCoordinates, weights: WeightSystem | None = None) -> bool:
+def ordered_domain_check(coords: OrbitCoordinates) -> bool:
     """True when the raw eigenvalue tuple is descending and nonnegative.
 
     This predicate, not a hardcoded angle interval, defines the ordered
@@ -177,7 +176,7 @@ def ordered_domain_check(coords: OrbitCoordinates, weights: WeightSystem | None 
     r sin(phi/3) <= 1/2, and for a quatrit additionally
     cot(theta) >= sin(phi/3)/sqrt(2).
     """
-    spec = spectrum_from_orbit(coords, weights)
+    spec = spectrum_from_orbit(coords)
     raw = spec.raw
     descending = bool(np.all(np.diff(raw) <= ORDER_TOL))
     return descending and bool(raw[-1] >= -ORDER_TOL)

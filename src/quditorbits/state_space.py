@@ -16,18 +16,21 @@ reads the rank off the S_k by one rule (_rank_from_ratios).
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
-of matrices, through to_bloch): one einsum, stacked powers, a stacked
-Newton recursion and a stacked rank rule (_classify_stack) per call, with
-the same checks, messages and rounding as the single-input route, so each
-verdict equals check_state_bloch's bit for bit.  The path is chosen by the
-shape of the input, not by an option: a one-row stack pays the stacked
-pass's fixed numpy overhead for one row and measured about 2-4x the time of
-a single check_state_bloch call at N = 2..8, while a 400-row stack costs
-about a tenth of the single calls per row.  So single inputs keep the
-scalar loop, and `quditorbits check` classifies its stdin in stacks.
+of matrices): one einsum, stacked powers, a stacked Newton recursion and
+a stacked rank rule per call, rounding as the single-input route does, so
+each verdict equals check_state_bloch's bit for bit.  The stacks make no
+per-row input check of their own: they only flag the rows that to_bloch or
+trace_invariants would reject, and hand each flagged row to the
+single-input route, which returns its verdict or raises its ValueError.
+So each check, its message and its order live in one place.  The path is
+chosen by the shape of the input, not by an option: a one-row stack pays
+the stacked pass's fixed numpy overhead for one row and measured about
+2-4x the time of a single check_state_bloch call at N = 2..8, while a
+400-row stack costs about a tenth of the single calls per row.  So single
+inputs keep the scalar loop, and `quditorbits check` classifies its stdin
+in stacks.
 
-An
-in-repo cyclic Jacobi eigensolver (jacobi_eigh, eig_oracle) that never
+An in-repo cyclic Jacobi eigensolver (jacobi_eigh, eig_oracle) that never
 calls an external diagonalization routine is kept as an independent
 oracle for tests and demos; no verdict consults it.
 
@@ -59,6 +62,11 @@ POSITIVITY_TOL = 1e-9
 
 # Unit-trace defect tolerated by to_bloch / check_state_traces.
 TRACE_TOL = 1e-10
+
+# Hermiticity defect max |rho - rho^dag| tolerated by to_bloch and
+# jacobi_eigh.  check_states flags a matrix for to_bloch at this same
+# bound, so the flag is never looser than the check it stands for.
+HERMITIAN_TOL = 1e-10
 
 # Off-diagonal Frobenius norm at which the Jacobi sweep stops.
 JACOBI_TOL = 1e-12
@@ -139,35 +147,11 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
     defect = np.abs(rho - rho.conj().T).max()
-    if defect > 1e-10:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     lam = gell_mann_basis(N).elements
     overlaps = np.einsum("ijk,kj->i", lam, rho)
     return overlaps.real / (2.0 * bloch_scale(N))
-
-
-def _to_bloch_stack(rhos: np.ndarray):
-    """to_bloch of every matrix of a (B, N, N) stack at once, bit-identical
-    to it row by row.  A matrix to_bloch would reject maps, by its row
-    index, to to_bloch's ValueError in the returned dict; its row of the
-    (B, N^2 - 1) result is undefined.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
-    N = rhos.shape[-1]
-    if N < 2:
-        raise ValueError("need N >= 2")
-    errors = {}
-    tr = np.trace(rhos, axis1=1, axis2=2)
-    for b in np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL):
-        errors[int(b)] = ValueError(f"matrix trace {tr[b]} is not 1 within {TRACE_TOL}")
-    defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-    for b in np.flatnonzero(defect > 1e-10):
-        errors.setdefault(int(b), ValueError(f"matrix is not Hermitian: defect {defect[b]:.3e}"))
-    lam = gell_mann_basis(N).elements
-    overlaps = np.einsum("ijk,bkj->bi", lam, rhos)
-    return overlaps.real / (2.0 * bloch_scale(N)), errors
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
@@ -204,7 +188,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI
         A = A[np.newaxis]
     n = A.shape[-1]
     defect = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0)
-    if defect > 1e-10:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     V = np.tile(np.eye(n, dtype=complex), (A.shape[0], 1, 1))
     off_diagonal = ~np.eye(n, dtype=bool)
@@ -336,19 +320,6 @@ def _classify(
     return _verdict(is_state, _rank_from_ratios(S, t, tol), t.dim, margin, tol)
 
 
-def _classify_stack(T: np.ndarray, tol: float) -> list:
-    """_classify without a discriminant for every row of a (B, N) array of
-    t_1..t_N; each verdict equals that of _classify on its row."""
-    N = T.shape[1]
-    S = _char_coefficients_stack(T)
-    margin = S.min(axis=1)
-    ranks = _rank_from_ratios_stack(S, T, tol)
-    return [
-        _verdict(is_state, rank, N, m, tol)
-        for is_state, rank, m in zip((margin >= -tol).tolist(), ranks.tolist(), margin.tolist())
-    ]
-
-
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
     """Positivity test in Bloch coordinates: all S_k(xi) >= 0.
 
@@ -374,6 +345,14 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
     return _classify(t, char_coefficients(t), tol, discriminant(t))
 
 
+def _verdict_or_error(check):
+    """check(), or the ValueError it raises."""
+    try:
+        return check()
+    except ValueError as exc:
+        return exc
+
+
 def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     """check_state_bloch for every row of a (B, N^2 - 1) array, in one
     stacked pass: one einsum for the matrices, stacked powers, a stacked
@@ -381,8 +360,10 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
 
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that
-    check_state_bloch rejects, the ValueError it raises.  One bad row
-    does not stop the others.  An array that is not (B, N^2 - 1) raises.
+    check_state_bloch rejects, the ValueError it raises.  A row that
+    trace_invariants would reject is judged by check_state_bloch itself.
+    One bad row does not stop the others.  An array that is not
+    (B, N^2 - 1) raises.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2:
@@ -393,23 +374,41 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     # check_state_bloch judges it, but without a RuntimeWarning.
     with np.errstate(all="ignore"):
         rhos = _identity_over(N) + bloch_scale(N) * np.einsum("bi,ijk->bjk", xis, lam)
-        T, errors = _trace_invariants_stack(rhos)
-        verdicts = _classify_stack(T, tol)
-    return [errors.get(b, verdict) for b, verdict in enumerate(verdicts)]
+        T, rejected = _trace_invariants_stack(rhos)
+        S = _char_coefficients_stack(T)
+        margin = S.min(axis=1)
+        ranks = _rank_from_ratios_stack(S, T, tol)
+        verdicts = [
+            _verdict(is_state, rank, N, m, tol)
+            for is_state, rank, m in zip((margin >= -tol).tolist(), ranks.tolist(), margin.tolist())
+        ]
+        for b in np.flatnonzero(rejected):
+            verdicts[b] = _verdict_or_error(lambda: check_state_bloch(xis[b], tol))
+    return verdicts
 
 
 def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     """check_state_bloch(to_bloch(rho), tol) for every matrix of a
     (B, N, N) stack, as check_states_bloch does it for Bloch rows: a list
     of B verdicts, or for a matrix either step rejects, its ValueError.
-    A stack that is not (B, N, N) with N >= 2 raises.
+    A matrix that to_bloch would reject is judged by that very call.  A
+    stack that is not (B, N, N) with N >= 2 raises.
     """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
+    N = rhos.shape[-1]
+    if N < 2:
+        raise ValueError("need N >= 2")
     with np.errstate(all="ignore"):
-        xis, errors = _to_bloch_stack(rhos)
-    keep = [b for b in range(len(xis)) if b not in errors]
-    results = dict(zip(keep, check_states_bloch(xis[keep], tol)))
-    results.update(errors)
-    return [results[b] for b in range(len(xis))]
+        tr = np.trace(rhos, axis1=1, axis2=2)
+        defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+        rejected = (np.abs(tr - 1.0) > TRACE_TOL) | (defect > HERMITIAN_TOL)
+        overlaps = np.einsum("ijk,bkj->bi", gell_mann_basis(N).elements, rhos)
+        verdicts = check_states_bloch(overlaps.real / (2.0 * bloch_scale(N)), tol)
+        for b in np.flatnonzero(rejected):
+            verdicts[b] = _verdict_or_error(lambda: check_state_bloch(to_bloch(rhos[b]), tol))
+    return verdicts
 
 
 def uniform_simplex(N: int, rng: np.random.Generator) -> np.ndarray:

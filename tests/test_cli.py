@@ -268,6 +268,22 @@ def test_param_forward_and_inverse_round_trip(capsys):
     assert np.max(np.abs(np.array(back["spectrum"]) - [0.4, 0.3, 0.2, 0.1])) < 1e-10
 
 
+def test_param_inverse_refuses_a_negative_radius(capsys):
+    # a negative r is no orbit coordinate: refused as boundary refuses it
+    code, out, err = invoke(capsys, "param", "--N", "3", "--inverse", "--angles", "2.0", "--r=-0.1")
+    assert (code, out) == (1, "")
+    assert "orbit radius must be nonnegative, got -0.1" in err
+    code, out, err = invoke(capsys, "param", "--N", "3", "--inverse", "--angles", "2.0", "--r", "nan")
+    assert (code, out) == (1, "")
+    assert "orbit radius must be nonnegative, got nan" in err
+    assert invoke(capsys, "boundary", "--N", "3", "--r=-1e-3")[0] == 1
+
+    # a radius beyond the ball is an orbit coordinate whose spectrum is no state
+    code, out, _ = invoke(capsys, "param", "--N", "3", "--inverse", "--angles", "2.0", "--r", "1.5")
+    assert code == 0
+    assert json.loads(out)["valid"] is False
+
+
 def test_param_requires_input(capsys):
     code, _, err = invoke(capsys, "param", "--N", "3")
     assert code == 1

@@ -14,6 +14,7 @@ import quditorbits.state_space as state_space
 from quditorbits.invariants import (
     TraceInvariants,
     _char_coefficients_stack,
+    _trace_invariants_stack,
     bezoutian,
     char_coefficients,
     discriminant,
@@ -324,10 +325,26 @@ def test_stacked_check_equals_scalar_check(N):
     bad[1, 0, 1] += 1e-9  # not Hermitian
     bad[2, 0, 0] += 1e-9  # trace off 1
     bad[3] = np.nan
-    for verdict, rho in zip(check_states(bad), bad):
+    bad[4, 0, 0] += 1e-9  # trace off 1 and not Hermitian: the trace check fires first
+    bad[4, 0, 1] += 1e-9
+    bad[5, 0, 1] += 5e-11  # a Hermiticity defect to_bloch tolerates
+    verdicts = check_states(bad)
+    for verdict, rho in zip(verdicts, bad):
         expected = _scalar(lambda m: check_state_bloch(to_bloch(m)), rho)
         assert _same_verdict(expected, verdict), (rho, verdict)
-    assert isinstance(check_states(bad)[1], ValueError)
+    assert "is not Hermitian" in str(verdicts[1])
+    assert "matrix trace" in str(verdicts[2]) and "matrix trace" in str(verdicts[4])
+    assert isinstance(verdicts[5], StateClassification)
+
+    # the stacked traces flag exactly the matrices trace_invariants rejects
+    residue = np.diag([1 / N + 4e-13j] * N)  # the residue case of test_invariants at N = 3
+    skew = matrices[0].copy()
+    skew[0, 1] += 5e-12
+    traced = np.vstack([sample_states(N, 4, seed=N), skew[np.newaxis], residue[np.newaxis]])
+    _, rejected = _trace_invariants_stack(traced)
+    raises = [isinstance(_scalar(trace_invariants, rho), ValueError) for rho in traced]
+    assert rejected.tolist() == raises
+    assert rejected[4] and not rejected[:4].any()
 
     T = np.array([trace_invariants(rho).values for rho in matrices])
     S = _char_coefficients_stack(T)

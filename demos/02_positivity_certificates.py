@@ -17,6 +17,7 @@ from quditorbits import (
     char_coefficients,
     check_state_bloch,
     check_state_traces,
+    check_states_bloch,
     discriminant,
     eig_oracle,
     from_bloch,
@@ -85,14 +86,13 @@ for name, spec in (
 # ---------------------------------------------------------------------------
 
 rng = np.random.default_rng(7)
-inside = outside = 0
-for _ in range(2000):
-    xi = rng.normal(size=8)
+xis = np.empty((2000, 8))
+for xi in xis:
+    xi[:] = rng.normal(size=8)
     xi *= rng.uniform() ** (1 / 8) / np.linalg.norm(xi)
-    if check_state_bloch(xi).is_state:
-        inside += 1
-    else:
-        outside += 1
+# one stacked pass judges them all, each verdict equal to check_state_bloch's
+inside = sum(verdict.is_state for verdict in check_states_bloch(xis))
+outside = len(xis) - inside
 print(f"\n2000 random Bloch vectors in the unit ball: "
       f"{inside} states, {outside} outside the state set")
 print("(for N > 2 the state body is strictly smaller than the Bloch ball)")

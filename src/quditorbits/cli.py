@@ -194,31 +194,16 @@ def _cmd_check(args) -> int:
     return 2 if any_invalid else 0
 
 
-def _diagonal_bloch(spectrum: np.ndarray) -> np.ndarray:
-    """Bloch vector of diag(spectrum): Cartan components only."""
-    N = len(spectrum)
-    basis = gell_mann_basis(N)
-    xi = np.zeros(N * N - 1)
-    moduli = orb.cartan_moduli(spectrum)
-    for a, idx in enumerate(basis.cartan_indices):
-        xi[idx - 1] = moduli[a]
-    return xi
-
-
 def _cmd_invariants(args) -> int:
     if (args.xi is None) == (args.spectrum is None):
         raise ValueError("invariants needs exactly one of --xi or --spectrum")
     if args.xi is not None:
         xi = _parse_floats(args.xi, "--xi")
-        N = st.dim_from_bloch(len(xi))
         rho = st.from_bloch(xi)
     else:
-        spectrum = _parse_floats(args.spectrum, "--spectrum")
-        N = len(spectrum)
-        if abs(spectrum.sum() - 1.0) > 1e-9:
-            raise ValueError(f"spectrum sums to {spectrum.sum()}, expected 1")
-        rho = np.diag(spectrum.astype(complex))
-        xi = _diagonal_bloch(spectrum)
+        rho = np.diag(_parse_floats(args.spectrum, "--spectrum")).astype(complex)
+        xi = st.to_bloch(rho)
+    N = rho.shape[0]
     _require_dim(args.N, N)
     t = inv.trace_invariants(rho)
     S = inv.char_coefficients(t)
@@ -236,6 +221,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_param(args) -> int:
     if args.inverse:
+        if args.N is None:
+            raise ValueError("param --inverse needs --N")
         if args.r is None:
             raise ValueError("param --inverse needs --r")
         angles = _parse_floats(args.angles, "--angles") if args.angles else np.array([])
@@ -252,8 +239,7 @@ def _cmd_param(args) -> int:
         if args.spectrum is None:
             raise ValueError("param needs --spectrum (or --inverse with --r/--angles)")
         spectrum = _parse_floats(args.spectrum, "--spectrum")
-        if args.N is not None and args.N != len(spectrum):
-            raise ValueError(f"--N {args.N} disagrees with spectrum length {len(spectrum)}")
+        _require_dim(args.N, len(spectrum))
         coords = orb.orbit_from_spectrum(spectrum)
         record = {
             "N": coords.dim,
@@ -269,17 +255,13 @@ def _cmd_param(args) -> int:
 def _cmd_boundary(args) -> int:
     N, r = args.N, args.r
     report = orb.intersection_polyhedron(N, r)
-    if N == 3 and r >= orb._corner_radius(3, 2):
+    radii = orb.embedded_radii(N, r)  # empty short of every rank-deficient stratum
+    if N == 3 and radii:  # where the sphere meets the rank-2 curve
         report["rank2_phi"] = report["phi_range"][1]
-        report["effective_qubit_radius"] = orb.effective_radius("qubit-in-qutrit", r)
-    if N == 4:
-        if r >= orb._corner_radius(4, 3):
-            report["rank3_cos_theta"] = orb.quatrit_rank3_cos_theta(r)
-            report["effective_qutrit_radius"] = orb.effective_radius("qutrit-in-quatrit", r)
-        if r >= orb._corner_radius(4, 2):
-            report["effective_qubit_radius"] = orb.effective_radius(
-                "qubit-in-qutrit-in-quatrit", r
-            )
+    if N == 4 and radii:  # where it meets the rank-3 surface
+        report["rank3_cos_theta"] = orb.quatrit_rank3_cos_theta(r)
+    for kind, radius in radii.items():
+        report[f"effective_{kind.split('-in-')[0]}_radius"] = radius
     _emit([_dumps(report)], args.out)
     return 0
 
@@ -309,10 +291,7 @@ def _figure_rows(name: str, samples: int, seed: int, r: float):
         return ["I3", "I8"], rows
     if name == "quatrit-slice":
         spectra3 = np.sort(rng.dirichlet(np.ones(3), size=samples), axis=1)[:, ::-1]
-        rows = []
-        for s3 in spectra3:
-            s4 = np.concatenate([s3, [0.0]])
-            rows.append(orb.cartan_moduli(s4))
+        rows = [orb.cartan_moduli(np.append(s3, 0.0)) for s3 in spectra3]
         return ["I3", "I8", "I15"], rows
     if name == "qutrit-rank2-curve":
         phis = np.linspace(np.pi / 2.0, 3.0 * np.pi / 2.0, samples)

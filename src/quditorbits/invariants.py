@@ -260,18 +260,15 @@ def discriminant(t: TraceInvariants) -> float:
     return t._disc
 
 
-def bezoutian_rank(B: np.ndarray, cutoff: float | None = None) -> int:
+def bezoutian_rank(B: np.ndarray) -> int:
     """Numerical rank of the Bezoutian; equals the number of distinct roots.
 
-    The default cutoff is BEZOUTIAN_RANK_CUTOFF scaled by the largest
-    absolute eigenvalue, calibrated so that root pairs closer than the
+    The cutoff is BEZOUTIAN_RANK_CUTOFF scaled by the largest absolute
+    eigenvalue (at least 1), calibrated so that root pairs closer than the
     1e-7 distinctness threshold count as coincident.
     """
-    w = np.linalg.eigvalsh(np.asarray(B, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if cutoff is None:
-        cutoff = BEZOUTIAN_RANK_CUTOFF * scale
-    return int(np.sum(np.abs(w) > cutoff))
+    w = np.abs(np.linalg.eigvalsh(np.asarray(B, dtype=float)))
+    return int(np.sum(w > BEZOUTIAN_RANK_CUTOFF * max(1.0, float(w.max()))))
 
 
 def grad_matrix(t: TraceInvariants) -> np.ndarray:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .state_space import TRACE_TOL
 from .su_algebra import darboux_frame, weight_vectors
 
 ANGLE_CONVENTION = "nested-polar-phi3-last-cartan-axis"
@@ -94,6 +95,8 @@ def unit_vector(N: int, angles) -> np.ndarray:
         raise ValueError("need N >= 2")
     if len(angles) != N - 2:
         raise ValueError(f"su({N}) orbit needs {N - 2} angles, got {len(angles)}")
+    if not np.isfinite(angles).all():
+        raise ValueError(f"orbit angles must be finite, got {angles.tolist()}")
     if N == 2:
         return np.array([1.0])
     phi = angles[0]
@@ -108,13 +111,15 @@ def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
 
     The raw tuple keeps the weight ordering (descending exactly when the
     coordinates lie in the ordered domain); `ordered` is sorted, and
-    `valid` flags nonnegativity of the smallest eigenvalue.  A negative
-    or NaN radius is no orbit coordinate and raises; a radius above 1
-    gives a tuple that is not `valid`.
+    `valid` flags nonnegativity of the smallest eigenvalue.  A negative,
+    NaN or infinite radius is no orbit coordinate and raises; a finite
+    radius above 1 gives a tuple that is not `valid`.
     """
     N = coords.dim
     if not coords.radius >= 0.0:
         raise ValueError(f"orbit radius must be nonnegative, got {coords.radius}")
+    if coords.radius == math.inf:
+        raise ValueError(f"orbit radius must be finite, got {coords.radius}")
     n = unit_vector(N, coords.angles)
     mu = weight_vectors(N).weights
     raw = 1.0 / N + math.sqrt(2.0 * (N - 1) / N) * coords.radius * (mu @ n)
@@ -137,15 +142,15 @@ def cartan_moduli(spectrum: np.ndarray) -> np.ndarray:
 def orbit_from_spectrum(spectrum) -> OrbitCoordinates:
     """Invert the parameterization: spectrum -> (radius, angles).
 
-    Expects a descending spectrum summing to 1.  The maximally mixed point
-    has r = 0 and no well-defined angles; it is returned with zero angles
-    and the degenerate_angles flag set.
+    Expects a descending spectrum summing to 1 within TRACE_TOL.  The
+    maximally mixed point has r = 0 and no well-defined angles; it is
+    returned with zero angles and the degenerate_angles flag set.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     N = len(spectrum)
     if N < 2:
         raise ValueError("need N >= 2")
-    if abs(spectrum.sum() - 1.0) > 1e-10:
+    if not abs(spectrum.sum() - 1.0) <= TRACE_TOL:  # not >, so that NaN fails
         raise ValueError(f"spectrum sums to {spectrum.sum()}, expected 1")
     if np.any(np.diff(spectrum) > 1e-10):
         raise ValueError("spectrum must be sorted in descending order")
@@ -176,16 +181,15 @@ def ordered_domain_check(coords: OrbitCoordinates) -> bool:
     r sin(phi/3) <= 1/2, and for a quatrit additionally
     cot(theta) >= sin(phi/3)/sqrt(2).
     """
-    spec = spectrum_from_orbit(coords)
-    raw = spec.raw
+    raw = spectrum_from_orbit(coords).raw
     descending = bool(np.all(np.diff(raw) <= ORDER_TOL))
     return descending and bool(raw[-1] >= -ORDER_TOL)
 
 
-def _degeneracy_blocks(ordered: np.ndarray, tol: float = DEGENERACY_TOL) -> list:
+def _degeneracy_blocks(ordered: np.ndarray) -> list:
     blocks = [[1]]
     for i in range(1, len(ordered)):
-        if abs(ordered[i - 1] - ordered[i]) <= tol:
+        if abs(ordered[i - 1] - ordered[i]) <= DEGENERACY_TOL:
             blocks[-1].append(i + 1)
         else:
             blocks.append([i + 1])
@@ -212,8 +216,7 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
     else:
         label = "O_" + "|".join("".join(str(i) for i in b) for b in blocks)
     orbit_dim = N * N - int(sum(m * m for m in mults))
-    rank = int(np.sum(ordered > ZERO_TOL))
-    rank = max(rank, 1)
+    rank = max(int(np.sum(ordered > ZERO_TOL)), 1)
 
     if not spec.valid:
         stratum = "not-a-state"
@@ -224,33 +227,26 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
     else:
         stratum = f"boundary-rank-{rank}"
 
-    eff = None
-    zeros = N - rank
-    if spec.valid and zeros > 0:
-        r = coords.radius
-        if N == 3:
-            eff = effective_radius("qubit-in-qutrit", r)
-        elif N == 4 and zeros == 1:
-            eff = effective_radius("qutrit-in-quatrit", r)
-        elif N == 4 and zeros >= 2:
-            eff = effective_radius("qubit-in-qutrit-in-quatrit", r)
+    # a pure state is the rank-2 stratum's far end, where its qubit is pure
+    kind = _EMBEDDINGS.get((N, max(rank, 2)))
     return StratumReport(
         label=label,
         multiplicities=mults,
         rank=rank,
         orbit_dimension=orbit_dim,
         stratum=stratum,
-        effective_radius=eff,
+        effective_radius=effective_radius(kind, coords.radius) if spec.valid and kind else None,
     )
 
 
-# kind: (N, k), the rank-k stratum of a qudit of dimension N, whose
-# embedded rank-k qudit is maximally mixed at the corner radius r_k.
+# (N, k): the rank-k stratum of a qudit of dimension N, whose embedded
+# rank-k qudit is maximally mixed at the corner radius r_k.
 _EMBEDDINGS = {
-    "qubit-in-qutrit": (3, 2),
-    "qutrit-in-quatrit": (4, 3),
-    "qubit-in-qutrit-in-quatrit": (4, 2),
+    (3, 2): "qubit-in-qutrit",
+    (4, 3): "qutrit-in-quatrit",
+    (4, 2): "qubit-in-qutrit-in-quatrit",
 }
+_EMBEDDED_IN = {kind: Nk for Nk, kind in _EMBEDDINGS.items()}
 
 
 def effective_radius(kind: str, r: float) -> float:
@@ -267,16 +263,27 @@ def effective_radius(kind: str, r: float) -> float:
     one.
     """
     try:
-        N, k = _EMBEDDINGS[kind]
+        N, k = _EMBEDDED_IN[kind]
     except KeyError:
         raise ValueError(
-            f"unknown embedding {kind!r}; expected one of {sorted(_EMBEDDINGS)}"
+            f"unknown embedding {kind!r}; expected one of {sorted(_EMBEDDED_IN)}"
         ) from None
     lo = _corner_radius(N, k)
     if r < lo - 1e-12 or r > 1.0 + 1e-12:
         raise ValueError(f"{kind} stratum exists for r in [{lo:.6f}, 1], got r={r}")
     r = min(max(r, lo), 1.0)
     return math.sqrt(k * (N - 1) / (N * (k - 1)) * (r * r - lo * lo))
+
+
+def embedded_radii(N: int, r: float) -> dict:
+    """effective_radius, by kind, of each embedding of a dimension-N qudit
+    whose rank-k stratum reaches the orbit radius r (r >= r_k), the larger
+    embedded qudit first; empty where no rank-deficient stratum does."""
+    return {
+        kind: effective_radius(kind, r)
+        for (n, k), kind in _EMBEDDINGS.items()
+        if n == N and r >= _corner_radius(N, k)
+    }
 
 
 def rank2_curve_radius(phi: float) -> float:
@@ -378,6 +385,11 @@ def polyhedron_transition_radii(N: int = 4) -> tuple:
     return (_corner_radius(4, 3), _corner_radius(4, 2))
 
 
+def _arc_angle(spectrum) -> float:
+    """The qutrit angle phi of a spectrum, by orbit_from_spectrum."""
+    return float(orbit_from_spectrum(spectrum).angles[0])
+
+
 def intersection_polyhedron(N: int, r: float) -> dict:
     """Geometry of (ordered simplex) ∩ (sphere of Bloch radius r).
 
@@ -406,28 +418,21 @@ def intersection_polyhedron(N: int, r: float) -> dict:
                 "arc_angle": 0.0,
                 "endpoints": [center],
             }
-        # past r_2 = 1/2 the rank-2 curve r = r_2 / sin(phi/3) cuts the arc
+        # The arc ends on the edges v_1 v_3 and v_2 v_3, or past r_2 v_1 v_2.
+        # phi is constant on edges out of the centre v_3: below r_2 read it at r_2.
         r2 = _corner_radius(3, 2)
-        phi_lo = math.pi / 2.0
-        if r <= r2:
-            phi_hi = 3.0 * math.pi / 2.0
-            kind = "full-chamber arc"
-        else:
-            phi_hi = 3.0 * math.asin(r2 / r)
-            kind = "arc truncated by r_3 = 0"
-        ends = []
-        for phi in (phi_lo, phi_hi):
-            coords = OrbitCoordinates(dim=3, radius=r, angles=np.array([phi]))
-            ends.append([float(x) for x in spectrum_from_orbit(coords).raw])
+        ends = sorted(_polyhedron_vertices(3, r).tolist(), key=_arc_angle)
+        phis = sorted(map(_arc_angle, _polyhedron_vertices(3, max(r, r2))))
+        phi_lo, phi_hi = phis[0], phis[-1]  # one vertex, the pure corner, at r = 1
         return {
             "N": 3,
             "r": float(r),
             "circle_radius": _sphere_radius(3, r),
             "center": center,
-            "kind": kind,
+            "kind": "full-chamber arc" if r <= r2 else "arc truncated by r_3 = 0",
             "phi_range": [phi_lo, phi_hi],
             "arc_angle": (phi_hi - phi_lo) / 3.0,
-            "endpoints": ends,
+            "endpoints": [ends[0], ends[-1]],
         }
     vertices = _polyhedron_vertices(4, r)
     nv = len(vertices)

@@ -123,11 +123,15 @@ def _identity_over(N: int) -> np.ndarray:
 def from_bloch(xi: np.ndarray) -> np.ndarray:
     """Assemble rho = I/N + sqrt((N-1)/(2N)) sum_i xi_i lam_i.
 
-    The result is Hermitian with unit trace for any real xi; positivity is
-    a separate question answered by the check functions.
+    The result is Hermitian with unit trace for any finite real xi;
+    positivity is a separate question answered by the check functions.  A
+    NaN or infinite component raises, naming it.
     """
     xi = np.asarray(xi, dtype=float)
     N = dim_from_bloch(xi)
+    if not np.isfinite(xi).all():
+        i = int(np.isfinite(xi).argmin())
+        raise ValueError(f"Bloch component xi_{i + 1} = {xi[i]} is not finite")
     lam = gell_mann_basis(N).elements
     return _identity_over(N) + bloch_scale(N) * np.einsum("i,ijk->jk", xi, lam)
 
@@ -144,24 +148,24 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     if N < 2:
         raise ValueError("need N >= 2")
     tr = rho.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:  # not >, so that a NaN entry fails
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
     defect = np.abs(rho - rho.conj().T).max()
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     lam = gell_mann_basis(N).elements
     overlaps = np.einsum("ijk,kj->i", lam, rho)
     return overlaps.real / (2.0 * bloch_scale(N))
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Diagonalize a Hermitian matrix, or a stack of them, with cyclic complex
     Jacobi rotations.
 
     Each sweep annihilates every off-diagonal pair (p, q) in turn with a
     unitary plane rotation, computed and applied to every matrix of the
     stack at once; sweeps repeat until each matrix's off-diagonal Frobenius
-    norm drops below `tol`.  A matrix that has converged is left alone
+    norm drops below JACOBI_TOL.  A matrix that has converged is left alone
     while the rest of the stack keeps rotating, so each result equals that
     of diagonalizing the matrix by itself.  A single (n, n) matrix is the
     one-member stack.
@@ -194,7 +198,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI
     off_diagonal = ~np.eye(n, dtype=bool)
 
     for sweep in range(max_sweeps + 1):
-        active = np.flatnonzero(np.linalg.norm(A[:, off_diagonal], axis=1) >= tol)
+        active = np.flatnonzero(np.linalg.norm(A[:, off_diagonal], axis=1) >= JACOBI_TOL)
         if active.size == 0:
             w = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
             return (w[0], V[0]) if single else (w, V)
@@ -231,7 +235,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI
                 Aa[:, q, p] = 0.0
         A[active], V[active] = Aa, Va
     raise RuntimeError(
-        f"Jacobi iteration failed to reach off-norm {tol:.1e} in {max_sweeps} sweeps"
+        f"Jacobi iteration failed to reach off-norm {JACOBI_TOL:.1e} in {max_sweeps} sweeps"
     )
 
 
@@ -333,14 +337,20 @@ def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClass
 def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> StateClassification:
     """Positivity test from a trace tuple alone.
 
-    Requires t_1 = 1 within 1e-10 (raises otherwise), then demands
+    Requires t_1 = 1 within TRACE_TOL (raises otherwise), then demands
     disc >= 0 and S_k >= 0 for k = 1..N through _classify, the core
     shared with check_state_bloch.  S and disc are the tuple's own, formed
     once (S also serves the Newton extension behind disc), so a later
     discriminant(t) forms nothing again.  No matrix and no eigensolver are
     touched.
+
+    Caveat: the tuple has a Hermitian matrix only when B is positive
+    semidefinite, which det B >= 0 implies only for N <= 3.  From N = 4 on
+    two pairs of complex roots pass: the power sums of 0.3 +- 0.05i and
+    0.2 +- 0.05i are judged a rank-4 interior state, while B has two
+    negative eigenvalues.
     """
-    if abs(t.t(1) - 1.0) > TRACE_TOL:
+    if not abs(t.t(1) - 1.0) <= TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")
     return _classify(t, char_coefficients(t), tol, discriminant(t))
 
@@ -361,9 +371,9 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that
     check_state_bloch rejects, the ValueError it raises.  A row that
-    trace_invariants would reject is judged by check_state_bloch itself.
-    One bad row does not stop the others.  An array that is not
-    (B, N^2 - 1) raises.
+    from_bloch or trace_invariants would reject is judged by
+    check_state_bloch itself.  One bad row does not stop the others.  An
+    array that is not (B, N^2 - 1) raises.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2:
@@ -375,6 +385,7 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     with np.errstate(all="ignore"):
         rhos = _identity_over(N) + bloch_scale(N) * np.einsum("bi,ijk->bjk", xis, lam)
         T, rejected = _trace_invariants_stack(rhos)
+        rejected |= ~np.isfinite(xis).all(axis=1)
         S = _char_coefficients_stack(T)
         margin = S.min(axis=1)
         ranks = _rank_from_ratios_stack(S, T, tol)
@@ -403,7 +414,8 @@ def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     with np.errstate(all="ignore"):
         tr = np.trace(rhos, axis1=1, axis2=2)
         defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-        rejected = (np.abs(tr - 1.0) > TRACE_TOL) | (defect > HERMITIAN_TOL)
+        # negated <= so that a NaN trace or defect flags its matrix too
+        rejected = ~((np.abs(tr - 1.0) <= TRACE_TOL) & (defect <= HERMITIAN_TOL))
         overlaps = np.einsum("ijk,bkj->bi", gell_mann_basis(N).elements, rhos)
         verdicts = check_states_bloch(overlaps.real / (2.0 * bloch_scale(N)), tol)
         for b in np.flatnonzero(rejected):

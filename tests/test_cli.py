@@ -43,6 +43,41 @@ def test_check_bad_xi_exits_1(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["check", "--xi", "0,0,inf"], None, "error: Bloch component xi_3 = inf is not finite"),
+        (["check"], '{"xi": [NaN, 0, 0]}', "line 1: Bloch component xi_1 = nan is not finite"),
+        (
+            ["check"],
+            '{"rho": [[[0.5, 0], [Infinity, 0]], [[Infinity, 0], [0.5, 0]]]}',
+            "line 1: matrix is not Hermitian: defect nan",
+        ),
+        (["invariants", "--xi", "nan,0,0"], None, "error: Bloch component xi_1 = nan is not finite"),
+        (["invariants", "--spectrum", "nan,0.5,0.5"], None, "error: matrix trace (nan+0j) is not 1"),
+        (["param", "--spectrum", "nan,0.5,0.5"], None, "error: spectrum sums to nan, expected 1"),
+        (
+            ["param", "--N", "3", "--inverse", "--angles", "2", "--r", "inf"],
+            None,
+            "error: orbit radius must be finite, got inf",
+        ),
+        (
+            ["param", "--N", "3", "--inverse", "--angles", "inf", "--r", "0.5"],
+            None,
+            "error: orbit angles must be finite, got [inf]",
+        ),
+    ],
+)
+def test_non_finite_input_is_refused(capsys, monkeypatch, argv, stdin, message):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin + "\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
 def test_check_xi_length_disagreeing_with_n_exits_1(capsys):
     code, out, err = invoke(capsys, "check", "--N", "4", "--xi", ",".join(["0"] * 8))
     assert code == 1
@@ -288,6 +323,22 @@ def test_param_requires_input(capsys):
     code, _, err = invoke(capsys, "param", "--N", "3")
     assert code == 1
     assert "spectrum" in err
+
+
+def test_param_inverse_needs_n(capsys):
+    code, out, err = invoke(capsys, "param", "--inverse", "--angles", "2.0", "--r", "0.5")
+    assert (code, out, err) == (1, "", "error: param --inverse needs --N\n")
+
+
+def test_spectrum_commands_share_the_unit_trace_tolerance(capsys):
+    # TRACE_TOL = 1e-10: a 5e-10 excess is refused by both, a 5e-11 one taken by both
+    for command in ("invariants", "param"):
+        code, out, err = invoke(capsys, command, "--spectrum", "0.6,0.4000000005")
+        assert (code, out) == (1, "")
+        assert "1.0000000005" in err
+        assert invoke(capsys, command, "--spectrum", "0.6,0.40000000005")[0] == 0
+    code, _, err = invoke(capsys, "param", "--N", "3", "--spectrum", "0.6,0.4")
+    assert (code, err) == (1, "error: --N 3 disagrees with input dimension 2\n")
 
 
 def test_invariants_record_fields(capsys):

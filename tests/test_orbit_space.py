@@ -13,6 +13,7 @@ from quditorbits.orbit_space import (
     cartan_moduli,
     darboux_point,
     effective_radius,
+    embedded_radii,
     intersection_polyhedron,
     orbit_from_spectrum,
     ordered_domain_check,
@@ -135,6 +136,16 @@ def test_orbit_from_spectrum_validation():
         orbit_from_spectrum(np.array([0.2, 0.5, 0.3]))  # not descending
     with pytest.raises(ValueError):
         orbit_from_spectrum(np.array([0.5, 0.3, 0.3]))  # sums to 1.1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="spectrum sums to"):
+            orbit_from_spectrum(np.array([bad, 0.5, 0.5]))
+
+
+def test_spectrum_from_orbit_refuses_non_finite_coordinates():
+    with pytest.raises(ValueError, match="orbit radius must be finite, got inf"):
+        spectrum_from_orbit(coords(3, math.inf, 2.0))
+    with pytest.raises(ValueError, match=r"orbit angles must be finite, got \[0.5, nan\]"):
+        spectrum_from_orbit(coords(4, 0.5, 0.5, math.nan))
 
 
 def test_ordered_domain_boundaries_qutrit():
@@ -259,6 +270,38 @@ def test_effective_radius_domain_errors():
         effective_radius("qutrit-in-quatrit", 1.2)
     with pytest.raises(ValueError):
         effective_radius("nonsense", 0.9)
+
+
+def test_embedded_radii_follow_the_corner_radii():
+    # each kind with the rank k of its stratum, which begins at the corner radius r_k
+    kinds = {
+        3: [("qubit-in-qutrit", 2)],
+        4: [("qutrit-in-quatrit", 3), ("qubit-in-qutrit-in-quatrit", 2)],
+    }
+    for N, table in kinds.items():
+        onsets = [orbit_space._corner_radius(N, k) for _, k in table]
+        for r in np.append(np.linspace(0.0, 1.0, 41), onsets):
+            radii = embedded_radii(N, r)
+            assert list(radii) == [kind for (kind, _), lo in zip(table, onsets) if r >= lo]
+            assert all(radii[kind] == effective_radius(kind, r) for kind in radii)
+    assert embedded_radii(2, 0.7) == embedded_radii(5, 0.7) == {}
+
+
+def test_rank_strata_reads_the_embedding_of_its_rank():
+    cases = {
+        (0.7, 0.3, 0.0): "qubit-in-qutrit",
+        (1.0, 0.0, 0.0): "qubit-in-qutrit",
+        (0.5, 0.3, 0.2, 0.0): "qutrit-in-quatrit",
+        (0.7, 0.3, 0.0, 0.0): "qubit-in-qutrit-in-quatrit",
+        (1.0, 0.0, 0.0, 0.0): "qubit-in-qutrit-in-quatrit",
+    }
+    for spectrum, kind in cases.items():
+        c = orbit_from_spectrum(np.array(spectrum))
+        assert rank_strata(len(spectrum), c).effective_radius == effective_radius(kind, c.radius)
+    # full rank, or a dimension with no embedding in the table
+    for spectrum in ((0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1), (0.5, 0.3, 0.2, 0.0, 0.0)):
+        c = orbit_from_spectrum(np.array(spectrum))
+        assert rank_strata(len(spectrum), c).effective_radius is None
 
 
 def test_effective_radius_t2_nesting():
@@ -395,6 +438,22 @@ def test_intersection_arc_qutrit():
     assert big["arc_angle"] == pytest.approx((phi_hi - math.pi / 2.0) / 3.0, abs=EXACT_TOL)
     # truncated endpoint has a zero eigenvalue
     assert big["endpoints"][1][2] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_intersection_arc_ends_on_simplex_edges():
+    # phi_lo = pi/2 on the edge v_1 v_3 (r_2 = r_3); phi_hi = 3pi/2 on the
+    # edge v_2 v_3 (r_1 = r_2) up to r = 1/2, then 3 asin(1/(2r)) on r_3 = 0
+    edge_cases = [1e-14, 1e-10, 1e-6, 0.5 - 1e-12, 0.5 + 1e-12]
+    for r in np.concatenate((edge_cases, np.linspace(0.01, 1.0, 100))):
+        rep = intersection_polyhedron(3, r)
+        phi_hi = 1.5 * math.pi if r <= 0.5 else 3.0 * math.asin(0.5 / r)
+        assert rep["phi_range"] == pytest.approx([0.5 * math.pi, phi_hi], abs=1e-12)
+        lo, hi = (np.array(v) for v in rep["endpoints"])
+        assert lo[1] == lo[2]
+        assert (hi[0] == hi[1]) if r <= 0.5 else (hi[2] == 0.0)
+        for v in (lo, hi):
+            assert v.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(v - 1.0 / 3.0) == pytest.approx(rep["circle_radius"], abs=1e-15)
 
 
 def test_intersection_polyhedron_vertex_counts():

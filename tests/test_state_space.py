@@ -98,6 +98,22 @@ def test_to_bloch_rejects_bad_input():
         to_bloch(np.diag([1.0, 1.0]).astype(complex))  # trace 2
     with pytest.raises(ValueError):
         to_bloch(np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex))  # not Hermitian
+    # a NaN trace or defect fails the check as one beyond the tolerance does
+    with pytest.raises(ValueError, match=r"trace \(nan\+0j\)"):
+        to_bloch(np.diag([np.nan, 0.5]).astype(complex))
+    with pytest.raises(ValueError, match="defect nan"):
+        to_bloch(np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))
+
+
+def test_from_bloch_names_a_non_finite_component():
+    for bad, name in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+        xi = np.zeros(8)
+        xi[5] = bad
+        with pytest.raises(ValueError, match=f"xi_6 = {name} is not finite"):
+            from_bloch(xi)
+        with pytest.raises(ValueError, match=f"xi_6 = {name} is not finite"):
+            check_state_bloch(xi)
+    from_bloch(np.full(8, 1e300))  # finite, however large
 
 
 def test_jacobi_qubit_closed_form():
@@ -319,6 +335,10 @@ def test_stacked_check_equals_scalar_check(N):
         assert len(stacked) == len(xis)
         for xi, verdict in zip(xis, stacked):
             assert _same_verdict(_scalar(check_state_bloch, xi, tol), verdict), (xi, verdict)
+        # non-finite rows are refused, naming a component; huge finite ones judged
+        assert "xi_1 = nan is not finite" in str(stacked[121])
+        assert "xi_1 = inf is not finite" in str(stacked[122])
+        assert all(isinstance(v, StateClassification) for v in stacked[123:])
 
     # matrices: the same through to_bloch, with rejected members in place
     bad = matrices.copy()
@@ -334,6 +354,7 @@ def test_stacked_check_equals_scalar_check(N):
         assert _same_verdict(expected, verdict), (rho, verdict)
     assert "is not Hermitian" in str(verdicts[1])
     assert "matrix trace" in str(verdicts[2]) and "matrix trace" in str(verdicts[4])
+    assert "matrix trace (nan+0j)" in str(verdicts[3])
     assert isinstance(verdicts[5], StateClassification)
 
     # the stacked traces flag exactly the matrices trace_invariants rejects
@@ -421,6 +442,8 @@ def test_memoised_invariants_equal_fresh_ones(N):
 def test_check_traces_requires_unit_trace():
     with pytest.raises(ValueError):
         check_state_traces(trace_invariants(np.eye(2, dtype=complex)))
+    with pytest.raises(ValueError, match="t_1 = nan"):
+        check_state_traces(TraceInvariants(dim=2, values=[np.nan, 0.5]))
 
 
 def test_boundary_iff_small_determinant():

@@ -13,6 +13,9 @@ newton_extend, bezoutian and discriminant hand these out read-only, so a
 caller that asks for the same invariant twice, as the trace route's
 check followed by discriminant does, pays for it once.
 
+Every matrix input of the package meets one Hermiticity gate here,
+max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
+
 Two closed-form families are included for cross-checking the orbit
 parameterization: t_3 of a qutrit as an explicit polynomial in the eight
 Bloch components, and t_2, t_3, t_4 of a quatrit as trigonometric
@@ -28,7 +31,11 @@ import numpy as np
 
 from .su_algebra import StructureTensors, vee_product
 
-HERMITICITY_TOL = 1e-12
+# Hermiticity defect max |rho - rho^dag| tolerated by every matrix input,
+# and imaginary residue of tr(rho^k) tolerated relative to |t_k|.  A defect
+# moves tr(rho^k) at first order only in its imaginary part, which is
+# dropped or refused; the real part moves at second order, O(k^2 defect^2).
+HERMITIAN_TOL = 1e-10
 
 # Rank cutoff for the Bezoutian, relative to its spectral scale.  Two
 # eigenvalues of rho closer than the 1e-7 distinctness threshold produce a
@@ -115,24 +122,22 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     Parameters
     ----------
     rho : ndarray
-        Hermitian N x N matrix (defect above 1e-12 raises).
+        Hermitian N x N matrix (defect above HERMITIAN_TOL, or NaN, raises).
     upto : int, optional
         Highest power; defaults to N.
 
     Notes
     -----
     Traces of Hermitian powers are real; the imaginary residue is checked
-    against 1e-12 (relative to the trace magnitude) and discarded.  The
-    powers fill one (upto, N, N) buffer and are traced and checked
+    against HERMITIAN_TOL (relative to the trace magnitude) and discarded.
+    The powers fill one (upto, N, N) buffer and are traced and checked
     together; the lowest power with a residue names it in the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     N = rho.shape[0]
-    defect = np.abs(rho - rho.conj().T).max()
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {defect:.3e}")
+    _require_hermitian(rho)
     if upto is None:
         upto = N
     if upto < 1:
@@ -144,30 +149,47 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
         np.matmul(powers[k - 1], rho, out=powers[k])
     tk = powers.trace(axis1=1, axis2=2)
     # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
-    residue = np.abs(tk.imag) > HERMITICITY_TOL * np.fmax(np.abs(tk), 1.0)
+    residue = np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
     if residue.any():
         k = int(residue.argmax())
         raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
     return TraceInvariants(dim=N, values=tk.real)
 
 
+def _hermitian_defect(a: np.ndarray):
+    """max |a - a^dag| over the last two axes of a matrix or a (B, N, N)
+    stack: a scalar or a (B,) array, NaN wherever an entry is NaN."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
+def _require_hermitian(a: np.ndarray) -> None:
+    """Raise unless every matrix of a has a defect within HERMITIAN_TOL;
+    the negated <= refuses a NaN defect too."""
+    defect = _hermitian_defect(a)
+    if a.ndim > 2:  # a stack is as Hermitian as its worst matrix
+        defect = defect.max(initial=0.0)
+    if not defect <= HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+
+
 def _trace_invariants_stack(rhos: np.ndarray):
     """trace_invariants(rho).values for every matrix of a (B, N, N) stack at once.
 
-    Returns the (B, N) values, each row bit-identical to the single-matrix
-    loop's, and a (B,) mask that is True where trace_invariants would
-    raise; such a row's values are undefined.  The caller re-judges a
-    masked row through trace_invariants, the one owner of its checks and
-    their messages.
+    The stack is taken to be Hermitian, as check_states_bloch's rows
+    I/N + c sum_i xi_i lam_i are exactly, so no defect is formed.  Returns
+    the (B, N) values, each row bit-identical to the single-matrix loop's,
+    and a (B,) mask that is True where a power's trace has an imaginary
+    residue that trace_invariants would raise on; such a row's values are
+    undefined.  The caller re-judges a masked row through
+    trace_invariants, the one owner of its checks and their messages.
     """
     B, N = rhos.shape[0], rhos.shape[-1]
-    defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-    rejected = defect > HERMITICITY_TOL
+    rejected = np.zeros(B, dtype=bool)
     T = np.empty((B, N))
     power = rhos
     for k in range(1, N + 1):
         tk = np.trace(power, axis1=1, axis2=2)
-        rejected |= np.abs(tk.imag) > HERMITICITY_TOL * np.fmax(np.abs(tk), 1.0)
+        rejected |= np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
         T[:, k - 1] = tk.real
         if k < N:
             power = power @ rhos

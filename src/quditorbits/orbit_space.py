@@ -269,9 +269,7 @@ def effective_radius(kind: str, r: float) -> float:
             f"unknown embedding {kind!r}; expected one of {sorted(_EMBEDDED_IN)}"
         ) from None
     lo = _corner_radius(N, k)
-    if r < lo - 1e-12 or r > 1.0 + 1e-12:
-        raise ValueError(f"{kind} stratum exists for r in [{lo:.6f}, 1], got r={r}")
-    r = min(max(r, lo), 1.0)
+    r = _radius_in(r, lo, kind + " stratum exists for r in [{lo:.6f}, 1], got r={r}")
     return math.sqrt(k * (N - 1) / (N * (k - 1)) * (r * r - lo * lo))
 
 
@@ -305,9 +303,7 @@ def quatrit_rank3_cos_theta(r: float) -> float:
     r_3 = 1/3 is the Bloch radius of the corner (1/3, 1/3, 1/3, 0).
     """
     lo = _corner_radius(4, 3)
-    if r < lo - 1e-12 or r > 1.0 + 1e-12:
-        raise ValueError(f"rank-3 surface exists for r in [{lo:.6f}, 1], got r={r}")
-    return min(1.0, lo / r)
+    return lo / _radius_in(r, lo, "rank-3 surface exists for r in [{lo:.6f}, 1], got r={r}")
 
 
 def trisectrix_residual(r: float, phi: float) -> float:
@@ -320,6 +316,14 @@ def trisectrix_residual(r: float, phi: float) -> float:
     a = _corner_radius(3, 2)
     y = r * np.sin(phi)
     return float(r * r * (y - 3.0 * a) + 4.0 * a**3)
+
+
+def _radius_in(r: float, lo: float, message: str) -> float:
+    """r clamped to [lo, 1], or ValueError(message.format(lo=lo, r=r)) when r
+    lies outside by more than 1e-12; the negated <= refuses NaN too."""
+    if not lo - 1e-12 <= r <= 1.0 + 1e-12:
+        raise ValueError(message.format(lo=lo, r=r))
+    return min(max(r, lo), 1.0)
 
 
 def _corner_radius(N: int, k: int) -> float:
@@ -353,7 +357,6 @@ def _polyhedron_vertices(N: int, r: float) -> np.ndarray:
     whenever r_k <= r <= r_j.  Inside (r_{k+1}, r_k) that makes k (N - k)
     vertices; a crossing at s = 0 or 1 is a corner, counted once.
     """
-    r = min(r, 1.0)
     radii = [_corner_radius(N, k) for k in range(1, N + 1)]
     vertices = {}
     for j in range(1, N):
@@ -401,8 +404,7 @@ def intersection_polyhedron(N: int, r: float) -> dict:
     versus quadrilateral, and attaches the two transition radii, the
     corner radii r_3 = 1/3 and r_2 = 1/sqrt(3).
     """
-    if not 0.0 <= r <= 1.0 + 1e-12:
-        raise ValueError(f"Bloch radius must lie in [0, 1], got {r}")
+    r = _radius_in(r, 0.0, "Bloch radius must lie in [0, 1], got {r}")
     if N not in (3, 4):
         raise ValueError(f"intersection geometry is implemented for N = 3 and 4, got N={N}")
     center = _corner(N, N).tolist()

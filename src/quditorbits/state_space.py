@@ -19,10 +19,12 @@ Many inputs at once go through the stack entry points check_states_bloch
 of matrices): one einsum, stacked powers, a stacked Newton recursion and
 a stacked rank rule per call, rounding as the single-input route does, so
 each verdict equals check_state_bloch's bit for bit.  The stacks make no
-per-row input check of their own: they only flag the rows that to_bloch or
-trace_invariants would reject, and hand each flagged row to the
-single-input route, which returns its verdict or raises its ValueError.
-So each check, its message and its order live in one place.  The path is
+per-row input check of their own: they only flag the rows that from_bloch,
+to_bloch or trace_invariants would reject, and hand each flagged row to
+the single-input route, which returns its verdict or raises its
+ValueError.  So each check, its message and its order live in one place;
+every matrix input meets the one Hermiticity gate of invariants,
+max |rho - rho^dag| <= HERMITIAN_TOL.  The path is
 chosen by the shape of the input, not by an option: a one-row stack pays
 the stacked pass's fixed numpy overhead for one row and measured about
 2-4x the time of a single check_state_bloch call at N = 2..8, while a
@@ -48,8 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import (
+    HERMITIAN_TOL,
     TraceInvariants,
     _char_coefficients_stack,
+    _hermitian_defect,
+    _require_hermitian,
     _trace_invariants_stack,
     char_coefficients,
     discriminant,
@@ -62,11 +67,6 @@ POSITIVITY_TOL = 1e-9
 
 # Unit-trace defect tolerated by to_bloch / check_state_traces.
 TRACE_TOL = 1e-10
-
-# Hermiticity defect max |rho - rho^dag| tolerated by to_bloch and
-# jacobi_eigh.  check_states flags a matrix for to_bloch at this same
-# bound, so the flag is never looser than the check it stands for.
-HERMITIAN_TOL = 1e-10
 
 # Off-diagonal Frobenius norm at which the Jacobi sweep stops.
 JACOBI_TOL = 1e-12
@@ -150,9 +150,7 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:  # not >, so that a NaN entry fails
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
-    defect = np.abs(rho - rho.conj().T).max()
-    if not defect <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    _require_hermitian(rho)
     lam = gell_mann_basis(N).elements
     overlaps = np.einsum("ijk,kj->i", lam, rho)
     return overlaps.real / (2.0 * bloch_scale(N))
@@ -191,9 +189,7 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     if single:
         A = A[np.newaxis]
     n = A.shape[-1]
-    defect = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0)
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    _require_hermitian(A)
     V = np.tile(np.eye(n, dtype=complex), (A.shape[0], 1, 1))
     off_diagonal = ~np.eye(n, dtype=bool)
 
@@ -413,9 +409,8 @@ def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
         raise ValueError("need N >= 2")
     with np.errstate(all="ignore"):
         tr = np.trace(rhos, axis1=1, axis2=2)
-        defect = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
         # negated <= so that a NaN trace or defect flags its matrix too
-        rejected = ~((np.abs(tr - 1.0) <= TRACE_TOL) & (defect <= HERMITIAN_TOL))
+        rejected = ~((np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(rhos) <= HERMITIAN_TOL))
         overlaps = np.einsum("ijk,bkj->bi", gell_mann_basis(N).elements, rhos)
         verdicts = check_states_bloch(overlaps.real / (2.0 * bloch_scale(N)), tol)
         for b in np.flatnonzero(rejected):

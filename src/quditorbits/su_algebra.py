@@ -8,7 +8,7 @@ rest of the library hangs off of them:
   the multiplication rule
       lam_i lam_j = (2/N) delta_ij I + sum_k (d_ijk + i f_ijk) lam_k,
   contracted from the nonzero generator entries and kept as sparse tables
-  (dense (N^2-1)^3 views are built only on request),
+  (no dense (N^2-1)^3 array is ever formed),
 * the weight vectors of the defining representation (the halved diagonals
   of the Cartan generators),
 * the symmetric "vee" product (xi v eta)_k ~ d_ijk xi_i eta_j on adjoint
@@ -26,7 +26,7 @@ coincides with the conventional lambda_1..lambda_8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,8 +91,7 @@ class StructureTensors:
     constants in coordinate form over every ordered triple: ``d_index`` is
     a read-only (3, nnz) array of 0-based indices and ``d_values`` the
     matching values, so d[d_index[0][m], d_index[1][m], d_index[2][m]] =
-    d_values[m].  ``d_dense``/``f_dense`` scatter them into read-only
-    (N^2-1)^3 arrays on first access; no library path reads those.
+    d_values[m].
     """
 
     dim: int
@@ -106,16 +105,6 @@ class StructureTensors:
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
-
-    @cached_property
-    def d_dense(self) -> np.ndarray:
-        """Dense (N^2-1)^3 view of d_ijk, built on first access."""
-        return _scatter(self.size, self.d_index, self.d_values)
-
-    @cached_property
-    def f_dense(self) -> np.ndarray:
-        """Dense (N^2-1)^3 view of f_ijk, built on first access."""
-        return _scatter(self.size, self.f_index, self.f_values)
 
     def d_value(self, i: int, j: int, k: int) -> float:
         """Symmetric constant d_ijk for an arbitrary index permutation."""
@@ -165,12 +154,6 @@ def _permutation_sign(triple) -> float:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _scatter(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    dense = np.zeros((n, n, n))
-    dense[tuple(index)] = values
-    return _readonly(dense)
 
 
 @lru_cache(maxsize=None)
@@ -385,25 +368,18 @@ def darboux_frame(N: int) -> np.ndarray:
 
 def basis_to_json(basis: BasisSet) -> dict:
     """JSON-ready dump: each matrix as a row-major list of [re, im] pairs."""
-    mats = []
-    for lam in basis.elements:
-        flat = lam.reshape(-1)
-        mats.append([[float(z.real), float(z.imag)] for z in flat])
+    lam = basis.elements
     return {
         "N": basis.dim,
-        "elements": mats,
+        "elements": np.stack((lam.real, lam.imag), -1).reshape(basis.size, -1, 2).tolist(),
         "cartan_indices": list(basis.cartan_indices),
     }
 
 
 def tensors_to_json(tensors: StructureTensors) -> dict:
     """JSON-ready dump of the sparse tables with 1-based index triples."""
-    d_items = [
-        {"i": i, "j": j, "k": k, "value": v}
-        for (i, j, k), v in sorted(tensors.d.items())
-    ]
-    f_items = [
-        {"i": i, "j": j, "k": k, "value": v}
-        for (i, j, k), v in sorted(tensors.f.items())
-    ]
-    return {"N": tensors.dim, "d": d_items, "f": f_items}
+    payload = {"N": tensors.dim}
+    for name in ("d", "f"):
+        items = sorted(getattr(tensors, name).items())
+        payload[name] = [{"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in items]
+    return payload

@@ -52,6 +52,10 @@ def test_trace_invariants_rejects_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         trace_invariants(bad)
+    # a NaN entry fails the check as a defect beyond the tolerance does
+    for bad in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5])):
+        with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
+            trace_invariants(bad)
 
 
 def test_char_coefficients_qubit():
@@ -98,9 +102,9 @@ def test_newton_extension_noop():
 
 
 def test_trace_invariants_names_the_power_with_a_residue():
-    # Hermitian within 1e-12, but tr(rho) has an imaginary part of 1.2e-12
-    rho = np.diag([1 / 3 + 4e-13j] * 3)
-    with pytest.raises(ValueError, match=r"trace of power 1 has imaginary residue 1\.200e-12"):
+    # Hermitian within 1e-10 (defect 8e-11), but tr(rho) has an imaginary part of 1.2e-10
+    rho = np.diag([1 / 3 + 4e-11j] * 3)
+    with pytest.raises(ValueError, match=r"trace of power 1 has imaginary residue 1\.200e-10"):
         trace_invariants(rho)
 
 

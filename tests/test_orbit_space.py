@@ -270,6 +270,14 @@ def test_effective_radius_domain_errors():
         effective_radius("qutrit-in-quatrit", 1.2)
     with pytest.raises(ValueError):
         effective_radius("nonsense", 0.9)
+    # NaN is no radius, on every guard
+    for kind in ("qubit-in-qutrit", "qutrit-in-quatrit", "qubit-in-qutrit-in-quatrit"):
+        with pytest.raises(ValueError, match=f"{kind} stratum exists for r in"):
+            effective_radius(kind, math.nan)
+    with pytest.raises(ValueError, match="rank-3 surface exists for r in"):
+        quatrit_rank3_cos_theta(math.nan)
+    with pytest.raises(ValueError, match="Bloch radius must lie in"):
+        intersection_polyhedron(3, math.nan)
 
 
 def test_embedded_radii_follow_the_corner_radii():

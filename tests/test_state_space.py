@@ -188,6 +188,30 @@ def test_jacobi_stack_rejects_non_hermitian_member():
     stack[2, 0, 1] += 1e-6
     with pytest.raises(ValueError):
         jacobi_eigh(stack)
+    # a NaN entry fails the check as a defect beyond the tolerance does
+    stack[2] = np.diag([np.nan, 0.5, 0.5])
+    for bad in (stack, stack[2]):
+        with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
+            jacobi_eigh(bad)
+
+
+def test_one_hermiticity_tolerance_on_every_route():
+    # a defect of 3e-11, within the one tolerance, is judged alike by the
+    # Bloch route, the trace route and the stacked check
+    rho = sample_states(3, 1, seed=11)[0]
+    rho[0, 1] += 3e-11
+    bloch = check_state_bloch(to_bloch(rho))
+    traces = check_state_traces(trace_invariants(rho))
+    (stacked,) = check_states(rho[np.newaxis])
+    for v in (bloch, traces, stacked):
+        assert (v.is_state, v.rank, v.stratum) == (True, 3, "interior")
+    # and a defect beyond it is refused by all three with one message
+    rho[0, 1] += 1e-10
+    message = "matrix is not Hermitian: defect 1.300e-10"
+    for route in (to_bloch, trace_invariants):
+        with pytest.raises(ValueError, match=message):
+            route(rho)
+    assert str(check_states(rho[np.newaxis])[0]) == message
 
 
 def test_eig_oracle_sorted_descending():
@@ -357,15 +381,17 @@ def test_stacked_check_equals_scalar_check(N):
     assert "matrix trace (nan+0j)" in str(verdicts[3])
     assert isinstance(verdicts[5], StateClassification)
 
-    # the stacked traces flag exactly the matrices trace_invariants rejects
-    residue = np.diag([1 / N + 4e-13j] * N)  # the residue case of test_invariants at N = 3
+    # on matrices Hermitian within HERMITIAN_TOL, the stacked traces flag
+    # exactly the ones trace_invariants rejects: those with a trace residue,
+    # which the diagonal's 4e-11j per entry gives t_1 from N = 3 on
+    residue = np.diag([1 / N + 4e-11j] * N)  # the residue case of test_invariants at N = 3
     skew = matrices[0].copy()
-    skew[0, 1] += 5e-12
+    skew[0, 1] += 5e-11
     traced = np.vstack([sample_states(N, 4, seed=N), skew[np.newaxis], residue[np.newaxis]])
     _, rejected = _trace_invariants_stack(traced)
     raises = [isinstance(_scalar(trace_invariants, rho), ValueError) for rho in traced]
     assert rejected.tolist() == raises
-    assert rejected[4] and not rejected[:4].any()
+    assert rejected[5] == (N >= 3) and not rejected[:4].any()
 
     T = np.array([trace_invariants(rho).values for rho in matrices])
     S = _char_coefficients_stack(T)

@@ -29,6 +29,15 @@ REFERENCE_TOL = 1e-15
 VEE_TOL = 1e-13
 
 
+def dense(t, name):
+    """The dense (N^2-1)^3 array of d or f, scattered from the library's own
+    coordinate table t.d_index/t.d_values or t.f_index/t.f_values."""
+    n = t.size
+    out = np.zeros((n, n, n))
+    out[tuple(getattr(t, name + "_index"))] = getattr(t, name + "_values")
+    return out
+
+
 def dense_reference_tables(basis):
     """Test-only reference: d and f from the dense (N^2-1)^3 triple trace.
 
@@ -125,7 +134,7 @@ def test_cartan_d_values_su4():
 def test_su2_has_no_symmetric_constants():
     t = algebra_tensors(2)
     assert t.d == {}
-    assert np.max(np.abs(t.d_dense)) == 0.0
+    assert np.max(np.abs(dense(t, "d"))) == 0.0
     # f must be the Levi-Civita tensor
     assert t.f_value(1, 2, 3) == pytest.approx(1.0, abs=ORTHO_TOL)
     assert t.f_value(2, 1, 3) == pytest.approx(-1.0, abs=ORTHO_TOL)
@@ -142,7 +151,7 @@ def test_su3_f_constants():
 def test_tensor_symmetries():
     for N in (3, 4):
         t = algebra_tensors(N)
-        d, f = t.d_dense, t.f_dense
+        d, f = dense(t, "d"), dense(t, "f")
         assert np.allclose(d, np.transpose(d, (1, 0, 2)), atol=ORTHO_TOL)
         assert np.allclose(d, np.transpose(d, (0, 2, 1)), atol=ORTHO_TOL)
         assert np.allclose(f, -np.transpose(f, (1, 0, 2)), atol=ORTHO_TOL)
@@ -158,14 +167,14 @@ def test_product_reconstruction():
         n = basis.size
         lhs = np.einsum("aij,bjk->abik", el, el)
         rhs = np.einsum("ab,ik->abik", (2.0 / N) * np.eye(n), np.eye(N)).astype(complex)
-        rhs += np.einsum("abc,cik->abik", t.d_dense + 1j * t.f_dense, el)
+        rhs += np.einsum("abc,cik->abik", dense(t, "d") + 1j * dense(t, "f"), el)
         assert np.max(np.abs(lhs - rhs)) < RECON_TOL
 
 
 def test_jacobi_identity():
     # f_ade f_bcd cyclic sum vanishes
     for N in (3, 4):
-        f = algebra_tensors(N).f_dense
+        f = dense(algebra_tensors(N), "f")
         term = np.einsum("ade,bcd->abce", f, f)
         cyc = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
         assert np.max(np.abs(cyc)) < JACOBI_TOL
@@ -295,8 +304,8 @@ def test_sparse_build_matches_dense_reference():
         # the coordinate lists cover exactly the nonzero ordered triples
         assert np.array_equal(np.sort(np.ravel_multi_index(t.d_index, d.shape)), np.flatnonzero(d))
         assert np.array_equal(np.sort(np.ravel_multi_index(t.f_index, f.shape)), np.flatnonzero(f))
-        assert np.max(np.abs(t.d_dense - d)) <= REFERENCE_TOL
-        assert np.max(np.abs(t.f_dense - f)) <= REFERENCE_TOL
+        assert np.max(np.abs(dense(t, "d") - d)) <= REFERENCE_TOL
+        assert np.max(np.abs(dense(t, "f") - f)) <= REFERENCE_TOL
 
 
 def test_vee_product_matches_dense_contraction():
@@ -360,4 +369,3 @@ def test_library_paths_build_no_dense_tensor():
     tensors_to_json(t)
     assert "d_dense" not in vars(t) and "f_dense" not in vars(t)
     assert not t.d_values.flags.writeable and not t.d_index.flags.writeable
-    assert not t.d_dense.flags.writeable

@@ -78,7 +78,9 @@ class TraceInvariants:
 
     @cached_property
     def _S(self) -> np.ndarray:
-        return _newton_coefficients(self.values, self.dim)
+        S = _newton_coefficients(self.values[: self.dim])
+        S.flags.writeable = False
+        return S
 
     @cached_property
     def _power_sums(self) -> np.ndarray:
@@ -130,35 +132,50 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     -----
     Traces of Hermitian powers are real; the imaginary residue is checked
     against HERMITIAN_TOL (relative to the trace magnitude) and discarded.
-    The powers fill one (upto, N, N) buffer and are traced and checked
-    together; the lowest power with a residue names it in the error.
+    The lowest power with a residue names it in the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    N = rho.shape[0]
     _require_hermitian(rho)
     if upto is None:
-        upto = N
+        upto = rho.shape[0]
     if upto < 1:
         raise ValueError(f"need at least t_1, got upto={upto}")
+    return _trace_tuple(rho, upto)
 
-    powers = np.empty((upto, N, N), dtype=complex)
-    powers[0] = rho
-    for k in range(1, upto):
-        np.matmul(powers[k - 1], rho, out=powers[k])
-    tk = powers.trace(axis1=1, axis2=2)
-    # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
-    residue = np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
+
+def _trace_tuple(rho: np.ndarray, upto: int) -> TraceInvariants:
+    """trace_invariants of a complex N x N matrix that is Hermitian by
+    construction, as from_bloch's is exactly: no shape or defect check."""
+    tk, residue = _power_traces(rho, upto)
     if residue.any():
         k = int(residue.argmax())
         raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
-    return TraceInvariants(dim=N, values=tk.real)
+    return TraceInvariants(dim=rho.shape[-1], values=tk.real)
 
 
+def _power_traces(rho: np.ndarray, upto: int):
+    """tr(rho^k), k = 1..upto, over the leading axes of a (..., N, N) array,
+    for trace_invariants and check_states_bloch alike: the complex
+    (upto, ...) traces, power first, and a mask, True where an imaginary
+    residue exceeds HERMITIAN_TOL relative to max(1, |t_k|), which
+    trace_invariants refuses.
+    """
+    powers = np.empty((upto,) + rho.shape, dtype=complex)
+    powers[0] = rho
+    for k in range(1, upto):
+        np.matmul(powers[k - 1], rho, out=powers[k])
+    tk = powers.trace(axis1=-2, axis2=-1)
+    # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
+    return tk, np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
+
+
+@np.errstate(invalid="ignore")
 def _hermitian_defect(a: np.ndarray):
     """max |a - a^dag| over the last two axes of a matrix or a (B, N, N)
-    stack: a scalar or a (B,) array, NaN wherever an entry is NaN."""
+    stack: a scalar or a (B,) array, NaN wherever an entry is NaN or an
+    infinity meets itself (inf - inf), without a RuntimeWarning."""
     return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
@@ -170,30 +187,6 @@ def _require_hermitian(a: np.ndarray) -> None:
         defect = defect.max(initial=0.0)
     if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-
-
-def _trace_invariants_stack(rhos: np.ndarray):
-    """trace_invariants(rho).values for every matrix of a (B, N, N) stack at once.
-
-    The stack is taken to be Hermitian, as check_states_bloch's rows
-    I/N + c sum_i xi_i lam_i are exactly, so no defect is formed.  Returns
-    the (B, N) values, each row bit-identical to the single-matrix loop's,
-    and a (B,) mask that is True where a power's trace has an imaginary
-    residue that trace_invariants would raise on; such a row's values are
-    undefined.  The caller re-judges a masked row through
-    trace_invariants, the one owner of its checks and their messages.
-    """
-    B, N = rhos.shape[0], rhos.shape[-1]
-    rejected = np.zeros(B, dtype=bool)
-    T = np.empty((B, N))
-    power = rhos
-    for k in range(1, N + 1):
-        tk = np.trace(power, axis1=1, axis2=2)
-        rejected |= np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
-        T[:, k - 1] = tk.real
-        if k < N:
-            power = power @ rhos
-    return T, rejected
 
 
 def char_coefficients(t: TraceInvariants) -> np.ndarray:
@@ -208,32 +201,23 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
     return t._S
 
 
-def _newton_coefficients(values: np.ndarray, N: int) -> np.ndarray:
-    """The Newton recursion behind char_coefficients, from t_1..t_N."""
-    signed_t = values[:N] * (-1.0) ** np.arange(N)
-    S = np.ones(N + 1)
-    for k in range(1, N + 1):
-        S[k] = np.dot(S[k - 1 :: -1], signed_t[:k]) / k
-    S.flags.writeable = False
-    return S[1:]
+def _newton_coefficients(T: np.ndarray) -> np.ndarray:
+    """S_1..S_N from t_1..t_N by the Newton recursion, over the leading
+    axes of a (..., N) array: the one recursion behind char_coefficients
+    and check_states_bloch.
 
-
-def _char_coefficients_stack(T: np.ndarray) -> np.ndarray:
-    """char_coefficients for every row of a (B, N) array of t_1..t_N.
-
-    The recursion keeps S reversed, rev[:, N - j] = S_j, so that the
-    S_{k-1}..S_0 of each step are a forward, unit-stride slice of a row.
-    np.vecdot over such rows rounds exactly as the np.dot of the
-    single-tuple loop does (on a negative-stride view it does not, nor
-    does a sum of products or an einsum), so every row is bit-identical
-    to char_coefficients of that row.
+    S is kept reversed, rev[..., N - j] = S_j with S_0 = 1, so that the
+    S_{k-1}..S_0 of each step are a forward slice of a row, and T is made
+    C-ordered first.  np.vecdot then reads only unit-stride rows; on
+    strided ones it rounds differently, and a row's S would depend on the
+    layout of the array it sits in.
     """
-    B, N = T.shape
-    signed_t = T * (-1.0) ** np.arange(N)
-    rev = np.ones((B, N + 1))
+    N = T.shape[-1]
+    signed_t = np.ascontiguousarray(T) * (-1.0) ** np.arange(N)
+    rev = np.ones(T.shape[:-1] + (N + 1,))
     for k in range(1, N + 1):
-        rev[:, N - k] = np.vecdot(rev[:, N - k + 1 :], signed_t[:, :k]) / k
-    return rev[:, N - 1 :: -1]
+        rev[..., N - k] = np.vecdot(rev[..., N - k + 1 :], signed_t[..., :k]) / k
+    return rev[..., N - 1 :: -1]
 
 
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:

@@ -16,21 +16,21 @@ reads the rank off the S_k by one rule (_rank_from_ratios).
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
-of matrices): one einsum, stacked powers, a stacked Newton recursion and
-a stacked rank rule per call, rounding as the single-input route does, so
-each verdict equals check_state_bloch's bit for bit.  The stacks make no
-per-row input check of their own: they only flag the rows that from_bloch,
-to_bloch or trace_invariants would reject, and hand each flagged row to
-the single-input route, which returns its verdict or raises its
-ValueError.  So each check, its message and its order live in one place;
-every matrix input meets the one Hermiticity gate of invariants,
-max |rho - rho^dag| <= HERMITIAN_TOL.  The path is
-chosen by the shape of the input, not by an option: a one-row stack pays
-the stacked pass's fixed numpy overhead for one row and measured about
-2-4x the time of a single check_state_bloch call at N = 2..8, while a
-400-row stack costs about a tenth of the single calls per row.  So single
-inputs keep the scalar loop, and `quditorbits check` classifies its stdin
-in stacks.
+of matrices).  They run the single route's own kernels over a leading
+axis (the Bloch map and its projection, the power traces and the Newton
+recursion), so each verdict equals check_state_bloch's bit for bit; only
+the rank rule has a stacked twin.  The stacks make no per-row input check
+of their own: they only flag the rows that from_bloch, to_bloch or
+trace_invariants would reject, and hand each flagged row to the
+single-input route, which returns its verdict or raises its ValueError.
+So each check, its message and its order live in one place; every matrix
+input meets the one Hermiticity gate of invariants,
+max |rho - rho^dag| <= HERMITIAN_TOL.  The path is chosen by the shape of
+the input, not by an option: a one-row stack measured about 1.5-2x the
+time of a single check_state_bloch call at N = 2..8, while a 400-row
+stack costs about a tenth of the single calls per row.  So single inputs
+keep the single route, and `quditorbits check` classifies its stdin in
+stacks.
 
 An in-repo cyclic Jacobi eigensolver (jacobi_eigh, eig_oracle) that never
 calls an external diagonalization routine is kept as an independent
@@ -52,13 +52,13 @@ import numpy as np
 from .invariants import (
     HERMITIAN_TOL,
     TraceInvariants,
-    _char_coefficients_stack,
     _hermitian_defect,
+    _newton_coefficients,
+    _power_traces,
     _require_hermitian,
-    _trace_invariants_stack,
+    _trace_tuple,
     char_coefficients,
     discriminant,
-    trace_invariants,
 )
 from .su_algebra import gell_mann_basis
 
@@ -132,14 +132,28 @@ def from_bloch(xi: np.ndarray) -> np.ndarray:
     if not np.isfinite(xi).all():
         i = int(np.isfinite(xi).argmin())
         raise ValueError(f"Bloch component xi_{i + 1} = {xi[i]} is not finite")
+    return _bloch_map(xi, N)
+
+
+def _bloch_map(xi: np.ndarray, N: int) -> np.ndarray:
+    """from_bloch's map over the leading axes of a (..., N^2 - 1) array."""
     lam = gell_mann_basis(N).elements
-    return _identity_over(N) + bloch_scale(N) * np.einsum("i,ijk->jk", xi, lam)
+    return _identity_over(N) + bloch_scale(N) * np.einsum("...i,ijk->...jk", xi, lam)
 
 
+def _bloch_projection(rho: np.ndarray, N: int) -> np.ndarray:
+    """to_bloch's projection over the leading axes of a (..., N, N) array."""
+    lam = gell_mann_basis(N).elements
+    return np.einsum("ijk,...kj->...i", lam, rho).real / (2.0 * bloch_scale(N))
+
+
+@np.errstate(invalid="ignore")
 def to_bloch(rho: np.ndarray) -> np.ndarray:
     """Project a unit-trace Hermitian matrix onto its Bloch components.
 
     xi_i = tr(rho lam_i) / (2 sqrt((N-1)/(2N))), the inverse of from_bloch.
+    An inf - inf on the diagonal, a NaN trace, is refused without a
+    RuntimeWarning; the projection itself never warns.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -151,12 +165,10 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     if not abs(tr - 1.0) <= TRACE_TOL:  # not >, so that a NaN entry fails
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
     _require_hermitian(rho)
-    lam = gell_mann_basis(N).elements
-    overlaps = np.einsum("ijk,kj->i", lam, rho)
-    return overlaps.real / (2.0 * bloch_scale(N))
+    return _bloch_projection(rho, N)
 
 
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(a: np.ndarray):
     """Diagonalize a Hermitian matrix, or a stack of them, with cyclic complex
     Jacobi rotations.
 
@@ -180,7 +192,7 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     ValueError
         If the input is not an (n, n) or (B, n, n) Hermitian array.
     RuntimeError
-        If the norm target is not met after `max_sweeps` sweeps.
+        If the norm target is not met after JACOBI_MAX_SWEEPS sweeps.
     """
     A = np.array(a, dtype=complex)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -193,12 +205,12 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     V = np.tile(np.eye(n, dtype=complex), (A.shape[0], 1, 1))
     off_diagonal = ~np.eye(n, dtype=bool)
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         active = np.flatnonzero(np.linalg.norm(A[:, off_diagonal], axis=1) >= JACOBI_TOL)
         if active.size == 0:
             w = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
             return (w[0], V[0]) if single else (w, V)
-        if sweep == max_sweeps:
+        if sweep == JACOBI_MAX_SWEEPS:
             break
         Aa, Va = A[active], V[active]
         for p in range(n - 1):
@@ -231,7 +243,7 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
                 Aa[:, q, p] = 0.0
         A[active], V[active] = Aa, Va
     raise RuntimeError(
-        f"Jacobi iteration failed to reach off-norm {JACOBI_TOL:.1e} in {max_sweeps} sweeps"
+        f"Jacobi iteration failed to reach off-norm {JACOBI_TOL:.1e} in {JACOBI_MAX_SWEEPS} sweeps"
     )
 
 
@@ -259,6 +271,8 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
     below it is rounding noise, which would otherwise decide the rank.
     A negative S_{k+1} also ends the count, so for a matrix that is not
     a state the number is a reading of the S_k, not its matrix rank.
+    It keeps a stacked twin because over leading axes it loses its early
+    exit: one tuple then took 4 -> 14 us at N = 2 and 7 -> 35 us at N = 8.
     """
     N = len(S)
     # |S_j| reversed, rev[N - j] = |S_j| with S_0 = 1, so that |S_k|..|S_0|
@@ -276,13 +290,15 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
 def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndarray:
     """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k.
 
-    |S_j| is kept reversed, rev[:, N - j] = |S_j|, so each noise term is
-    np.vecdot over forward, unit-stride row slices, which rounds as the
-    np.dot of the single-tuple rule (on a negative-stride view it does not).
+    |S_j| is kept reversed, rev[:, N - j] = |S_j|, and |t_k| is made
+    C-ordered, so each noise term is np.vecdot over forward, unit-stride
+    row slices, which rounds as the np.dot of the single-tuple rule (on a
+    strided row it does not), whatever the layout of S and T.
     """
     B, N = S.shape
-    rev = np.abs(np.concatenate((S[:, ::-1], np.ones((B, 1))), axis=1))
-    tv = np.abs(T)
+    rev = np.ones((B, N + 1))
+    np.abs(S[:, ::-1], out=rev[:, :N])
+    tv = np.abs(np.ascontiguousarray(T))
     rank = np.full(B, N)
     undecided = np.ones(B, dtype=bool)
     for k in range(1, N):
@@ -326,7 +342,8 @@ def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClass
     A thin front end on _classify, the core shared with
     check_state_traces; no eigensolver is involved.
     """
-    t = trace_invariants(from_bloch(xi))
+    rho = from_bloch(xi)
+    t = _trace_tuple(rho, rho.shape[0])  # from_bloch's rho is exactly Hermitian
     return _classify(t, char_coefficients(t), tol)
 
 
@@ -361,8 +378,8 @@ def _verdict_or_error(check):
 
 def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     """check_state_bloch for every row of a (B, N^2 - 1) array, in one
-    stacked pass: one einsum for the matrices, stacked powers, a stacked
-    Newton recursion and the stacked rank rule.
+    stacked pass: the Bloch map, power traces and Newton recursion of the
+    single route, run over the leading axis, then the stacked rank rule.
 
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that
@@ -375,14 +392,13 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     if xis.ndim != 2:
         raise ValueError(f"expected a (B, N^2 - 1) array of Bloch vectors, got shape {xis.shape}")
     N = dim_from_bloch(xis.shape[1])
-    lam = gell_mann_basis(N).elements
     # A row whose powers overflow or turn NaN is judged by its values, as
     # check_state_bloch judges it, but without a RuntimeWarning.
     with np.errstate(all="ignore"):
-        rhos = _identity_over(N) + bloch_scale(N) * np.einsum("bi,ijk->bjk", xis, lam)
-        T, rejected = _trace_invariants_stack(rhos)
-        rejected |= ~np.isfinite(xis).all(axis=1)
-        S = _char_coefficients_stack(T)
+        tk, residue = _power_traces(_bloch_map(xis, N), N)
+        T = tk.real.T
+        rejected = residue.any(axis=0) | ~np.isfinite(xis).all(axis=1)
+        S = _newton_coefficients(T)
         margin = S.min(axis=1)
         ranks = _rank_from_ratios_stack(S, T, tol)
         verdicts = [
@@ -411,8 +427,7 @@ def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
         tr = np.trace(rhos, axis1=1, axis2=2)
         # negated <= so that a NaN trace or defect flags its matrix too
         rejected = ~((np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(rhos) <= HERMITIAN_TOL))
-        overlaps = np.einsum("ijk,bkj->bi", gell_mann_basis(N).elements, rhos)
-        verdicts = check_states_bloch(overlaps.real / (2.0 * bloch_scale(N)), tol)
+        verdicts = check_states_bloch(_bloch_projection(rhos, N), tol)
         for b in np.flatnonzero(rejected):
             verdicts[b] = _verdict_or_error(lambda: check_state_bloch(to_bloch(rhos[b]), tol))
     return verdicts

@@ -52,8 +52,9 @@ def test_trace_invariants_rejects_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         trace_invariants(bad)
-    # a NaN entry fails the check as a defect beyond the tolerance does
-    for bad in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5])):
+    # a NaN entry fails the check as a defect beyond the tolerance does, and
+    # so does an infinite one, whose inf - inf raises no RuntimeWarning
+    for bad in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5]), np.diag([np.inf, 0.5])):
         with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
             trace_invariants(bad)
 

@@ -13,8 +13,8 @@ import quditorbits.invariants as invariants
 import quditorbits.state_space as state_space
 from quditorbits.invariants import (
     TraceInvariants,
-    _char_coefficients_stack,
-    _trace_invariants_stack,
+    _newton_coefficients,
+    _power_traces,
     bezoutian,
     char_coefficients,
     discriminant,
@@ -103,6 +103,9 @@ def test_to_bloch_rejects_bad_input():
         to_bloch(np.diag([np.nan, 0.5]).astype(complex))
     with pytest.raises(ValueError, match="defect nan"):
         to_bloch(np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))
+    # inf - inf on the diagonal is a NaN trace, refused without a RuntimeWarning
+    with pytest.raises(ValueError, match=r"trace \(nan\+0j\)"):
+        to_bloch(np.diag([np.inf, -np.inf]))
 
 
 def test_from_bloch_names_a_non_finite_component():
@@ -152,15 +155,16 @@ def test_jacobi_diagonal_input():
     assert np.max(np.abs(V - np.eye(3))) == 0.0
 
 
-def test_jacobi_sweep_budget():
+def test_jacobi_sweep_budget(monkeypatch):
     rng = np.random.default_rng(24)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = (z + z.conj().T) / 2.0
+    monkeypatch.setattr(state_space, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(RuntimeError):
-        jacobi_eigh(a, max_sweeps=0)
+        jacobi_eigh(a)
     diagonal = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     with pytest.raises(RuntimeError):
-        jacobi_eigh(np.stack([diagonal, a]), max_sweeps=0)
+        jacobi_eigh(np.stack([diagonal, a]))
 
 
 def test_jacobi_stack_matches_single_calls_and_lapack():
@@ -190,7 +194,8 @@ def test_jacobi_stack_rejects_non_hermitian_member():
         jacobi_eigh(stack)
     # a NaN entry fails the check as a defect beyond the tolerance does
     stack[2] = np.diag([np.nan, 0.5, 0.5])
-    for bad in (stack, stack[2]):
+    # so does an infinite one, whose inf - inf raises no RuntimeWarning
+    for bad in (stack, stack[2], np.diag([np.inf, 0.5])):
         with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
             jacobi_eigh(bad)
 
@@ -388,18 +393,43 @@ def test_stacked_check_equals_scalar_check(N):
     skew = matrices[0].copy()
     skew[0, 1] += 5e-11
     traced = np.vstack([sample_states(N, 4, seed=N), skew[np.newaxis], residue[np.newaxis]])
-    _, rejected = _trace_invariants_stack(traced)
+    rejected = _power_traces(traced, N)[1].any(axis=0)
     raises = [isinstance(_scalar(trace_invariants, rho), ValueError) for rho in traced]
     assert rejected.tolist() == raises
     assert rejected[5] == (N >= 3) and not rejected[:4].any()
 
     T = np.array([trace_invariants(rho).values for rho in matrices])
-    S = _char_coefficients_stack(T)
+    S = _newton_coefficients(T)
     for t_row, S_row, rho in zip(T, S, matrices):
         t = trace_invariants(rho)
         assert np.array_equal(S_row, char_coefficients(t))
         check_state_traces(t)  # forms the tuple's disc along with its S
         assert discriminant(t) == discriminant(TraceInvariants(dim=N, values=t_row))
+
+
+@pytest.mark.parametrize("N", (2, 5, 8, 12))
+def test_stacked_kernels_ignore_input_layout(N):
+    # np.vecdot rounds differently on strided rows, so the Newton kernel and
+    # the stacked rank rule must make their rows unit-stride themselves: a
+    # row's result may not depend on the layout of the array it sits in.
+    matrices = _route_style_corpus(N, 200, np.random.default_rng(1000 + N))
+    T = np.array([trace_invariants(rho).values for rho in matrices])
+    S = np.array([_newton_coefficients(row) for row in T])
+    tuples = [TraceInvariants(dim=N, values=row) for row in T]
+
+    def layouts(a):
+        return {
+            "C": np.ascontiguousarray(a),
+            "Fortran": np.asfortranarray(a),
+            "transposed view": np.ascontiguousarray(a.T).T,
+            "strided view": np.stack([a, -a], axis=-1)[..., 0],
+        }
+
+    for (name, T_in), S_in in zip(layouts(T).items(), layouts(S).values()):
+        assert np.array_equal(_newton_coefficients(T_in), S), name
+        for tol in (POSITIVITY_TOL, 0.0, 1e-3):
+            rows = [state_space._rank_from_ratios(s, t, tol) for s, t in zip(S, tuples)]
+            assert state_space._rank_from_ratios_stack(S_in, T_in, tol).tolist() == rows, name
 
 
 def test_stacked_check_sizes():
@@ -415,9 +445,9 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
     recursions, determinants = [], []
     newton, det = invariants._newton_coefficients, np.linalg.det
 
-    def counted_newton(values, N):
-        recursions.append(N)
-        return newton(values, N)
+    def counted_newton(T):
+        recursions.append(T.shape[-1])
+        return newton(T)
 
     def counted_det(a):
         determinants.append(a)

@@ -60,10 +60,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _verdict_line(c: st.StateClassification) -> str:
-    # the stacked checks return plain Python bool, int, str and float
-    return json.dumps(
-        {"is_state": c.is_state, "rank": c.rank, "stratum": c.stratum, "margin": c.margin}
+def _verdict_line(is_state: bool, rank: int, stratum: str | None, margin: float) -> str:
+    """The bytes of json.dumps({"is_state": ..., "rank": ..., "stratum": ...,
+    "margin": ...}), formatted without building the dict."""
+    text = float.__repr__(margin)
+    if text[-1] in "nf":  # json.dumps spells nan, inf and -inf its own way
+        text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    return '{"is_state": %s, "rank": %d, "stratum": %s, "margin": %s}' % (
+        "true" if is_state else "false",
+        rank,
+        "null" if stratum is None else f'"{stratum}"',
+        text,
     )
 
 
@@ -122,23 +129,94 @@ def _parse_record(record: dict, N: int | None) -> tuple:
     raise ValueError("state record needs an 'xi' or 'rho' field")
 
 
-def _classify_records(parsed: list, tol: float) -> list:
-    """Verdicts, or the ValueError of each record that has none, for a
-    list of parsed records, in their order: one stacked pass per record
-    kind and dimension."""
+def _group_key(record):
+    """(kind, list length) of a record whose state field is a JSON list, or
+    None.  _parse_record accepts a field only when it is such a list, of
+    length N^2 - 1 for "xi" and N for "rho", so the records it accepts
+    within one group share one shape."""
+    if type(record) is dict:
+        kind = "xi" if "xi" in record else "rho" if "rho" in record else None
+        if kind is not None and type(record[kind]) is list:
+            return kind, len(record[kind])
+    return None
+
+
+def _group_array(key, records: list, N: int | None) -> tuple:
+    """(stack, dimension) of a group of records that share a key, built in
+    one np.array call and checked once for the dimension, --N and the
+    records' own "N".  Raises when a record of the group needs its own
+    look: ragged, non-numeric or overflowing cells, a wrong shape or a
+    disagreeing N."""
+    kind, length = key
+    B = len(records)
+    if kind == "xi":
+        stack = np.array([record["xi"] for record in records], dtype=float)
+        if stack.shape != (B, length):
+            raise ValueError(f"Bloch rows of shape {stack.shape}")
+        dim = st.dim_from_bloch(length)
+    else:
+        cells = np.array([record["rho"] for record in records])
+        if cells.dtype.kind not in "biuf" or cells.shape != (B, length, length, 2):
+            raise ValueError(f"rho cells of type {cells.dtype} and shape {cells.shape}")
+        stack = np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
+        dim = length
+    if (N is not None and N != dim) or any(
+        record.get("N", dim) not in (None, dim) for record in records
+    ):
+        raise ValueError("a dimension disagrees")
+    return stack, dim
+
+
+def _check_chunk(chunk: list, N: int | None, tol: float) -> tuple:
+    """Verdict lines, in input order, and (line number, error) failures for
+    one chunk of (line number, text) records.
+
+    Records are grouped by kind and list length; each group is built as
+    one array and classified in one stacked pass.  A group that
+    _group_array refuses is built record by record through _parse_record,
+    which owns every per-record message; its bad records become failures
+    and its good ones are classified together.
+    """
+    failures = []
     groups = {}
-    for i, (kind, data) in enumerate(parsed):
-        groups.setdefault((kind, data.shape), []).append(i)
-    results = [None] * len(parsed)
-    for (kind, _), rows in groups.items():
-        check = st.check_states_bloch if kind == "xi" else st.check_states
+    for i, (lineno, raw) in enumerate(chunk):
         try:
-            verdicts = check(np.stack([parsed[i][1] for i in rows]), tol)
+            record = json.loads(raw)
+        except ValueError as exc:
+            failures.append((lineno, exc))
+            continue
+        groups.setdefault(_group_key(record), []).append((i, record))
+    lines = [None] * len(chunk)
+    any_invalid = False
+    for key, members in groups.items():
+        try:
+            stack, dim = _group_array(key, [record for _, record in members], N)
+        except (ValueError, TypeError, OverflowError):
+            parsed = []
+            for i, record in members:
+                try:
+                    parsed.append((i, _parse_record(record, N)[1]))
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    failures.append((chunk[i][0], exc))
+            if not parsed:
+                continue
+            members = parsed
+            stack = np.stack([data for _, data in parsed])
+            dim = stack.shape[-1] if stack.ndim == 3 else st.dim_from_bloch(stack.shape[1])
+        try:
+            is_state, rank, margin, errors = st._stack_columns(stack, dim, tol)
         except ValueError as exc:  # one for the whole group, such as N < 2
-            verdicts = [exc] * len(rows)
-        for i, verdict in zip(rows, verdicts):
-            results[i] = verdict
-    return results
+            failures.extend((chunk[i][0], exc) for i, _ in members)
+            continue
+        for b, (i, _) in enumerate(members):
+            if b in errors:
+                failures.append((chunk[i][0], errors[b]))
+                continue
+            s, r, m = is_state[b], rank[b], margin[b]
+            any_invalid = any_invalid or not s
+            lines[i] = _verdict_line(s, r, st._stratum(s, r, dim, m, tol), m)
+    failures.sort(key=lambda failure: failure[0])
+    return [line for line in lines if line is not None], failures, any_invalid
 
 
 def _stdin_chunks():
@@ -158,33 +236,23 @@ def _stdin_chunks():
 def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
-        record = _parse_record({"xi": _parse_floats(args.xi, "--xi")}, args.N)
-        (verdict,) = _classify_records([record], tol)
-        if isinstance(verdict, ValueError):
-            raise verdict
-        _emit([_verdict_line(verdict)], args.out)
-        return 0 if verdict.is_state else 2
+        _, xi = _parse_record({"xi": _parse_floats(args.xi, "--xi")}, args.N)
+        # a finite xi whose powers overflow is judged by its values, as in
+        # batch mode, without a RuntimeWarning
+        with np.errstate(all="ignore"):
+            v = st.check_state_bloch(xi, tol)
+        _emit([_verdict_line(v.is_state, v.rank, v.stratum, v.margin)], args.out)
+        return 0 if v.is_state else 2
 
     # batch mode: one JSON state record per stdin line
     lines = []
     any_invalid = False
     parse_failures = 0
     for chunk in _stdin_chunks():
-        failures = []
-        parsed = []
-        for lineno, raw in chunk:
-            try:
-                parsed.append((lineno, _parse_record(json.loads(raw), args.N)))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                failures.append((lineno, exc))
-        verdicts = _classify_records([record for _, record in parsed], tol)
-        for (lineno, _), verdict in zip(parsed, verdicts):
-            if isinstance(verdict, ValueError):
-                failures.append((lineno, verdict))
-                continue
-            any_invalid = any_invalid or not verdict.is_state
-            lines.append(_verdict_line(verdict))
-        for lineno, exc in sorted(failures, key=lambda failure: failure[0]):
+        chunk_lines, failures, chunk_invalid = _check_chunk(chunk, args.N, tol)
+        lines += chunk_lines
+        any_invalid = any_invalid or chunk_invalid
+        for lineno, exc in failures:
             print(f"line {lineno}: {exc}", file=sys.stderr)
         parse_failures += len(failures)
     if lines or not parse_failures:

@@ -16,21 +16,26 @@ reads the rank off the S_k by one rule (_rank_from_ratios).
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
-of matrices).  They run the single route's own kernels over a leading
-axis (the Bloch map and its projection, the power traces and the Newton
-recursion), so each verdict equals check_state_bloch's bit for bit; only
-the rank rule has a stacked twin.  The stacks make no per-row input check
-of their own: they only flag the rows that from_bloch, to_bloch or
-trace_invariants would reject, and hand each flagged row to the
+of matrices).  Both are thin adaptors over one stacked core
+(_stack_columns), which runs the single route's own kernels over a
+leading axis (the Bloch map and its projection, the power traces and the
+Newton recursion) and returns the verdicts as columns: is_state, rank and
+margin, plus the ValueError of each row that has one.  So each verdict
+equals check_state_bloch's bit for bit; only the rank rule has a stacked
+twin, and the stratum is read off the columns by the one rule
+(_stratum) that the single routes use too.  The core makes no per-row
+input check of its own: it only flags the rows that from_bloch, to_bloch
+or trace_invariants would reject, and hands each flagged row to the
 single-input route, which returns its verdict or raises its ValueError.
 So each check, its message and its order live in one place; every matrix
 input meets the one Hermiticity gate of invariants,
 max |rho - rho^dag| <= HERMITIAN_TOL.  The path is chosen by the shape of
 the input, not by an option: a one-row stack measured about 1.5-2x the
 time of a single check_state_bloch call at N = 2..8, while a 400-row
-stack costs about a tenth of the single calls per row.  So single inputs
-keep the single route, and `quditorbits check` classifies its stdin in
-stacks.
+stack costs about a tenth of the single calls per row.  So single inputs,
+`quditorbits check --xi` among them, keep the single route, and batch
+`quditorbits check` hands each group of records of one kind and one N to
+the core and formats its output lines from the columns.
 
 An in-repo cyclic Jacobi eigensolver (jacobi_eigh, eig_oracle) that never
 calls an external diagonalization routine is kept as an independent
@@ -309,16 +314,17 @@ def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndar
     return rank
 
 
-def _verdict(is_state: bool, rank: int, N: int, margin: float, tol: float) -> StateClassification:
+def _stratum(is_state: bool, rank: int, N: int, margin: float, tol: float) -> str | None:
+    """The stratum of a verdict: None for a non-state, then "pure" at rank
+    1, "interior" at full rank with margin above tol, and otherwise
+    "boundary-rank-k" for rank k."""
     if not is_state:
-        stratum = None
-    elif rank == 1:
-        stratum = "pure"
-    elif rank == N and margin > tol:
-        stratum = "interior"
-    else:
-        stratum = f"boundary-rank-{rank}"
-    return StateClassification(is_state=is_state, rank=rank, stratum=stratum, margin=margin)
+        return None
+    if rank == 1:
+        return "pure"
+    if rank == N and margin > tol:
+        return "interior"
+    return f"boundary-rank-{rank}"
 
 
 def _classify(
@@ -333,7 +339,8 @@ def _classify(
     """
     margin = float(S.min())
     is_state = bool(margin >= -tol and disc >= -tol)
-    return _verdict(is_state, _rank_from_ratios(S, t, tol), t.dim, margin, tol)
+    rank = _rank_from_ratios(S, t, tol)
+    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim, margin, tol), margin)
 
 
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
@@ -368,12 +375,60 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
     return _classify(t, char_coefficients(t), tol, discriminant(t))
 
 
-def _verdict_or_error(check):
-    """check(), or the ValueError it raises."""
-    try:
-        return check()
-    except ValueError as exc:
-        return exc
+def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
+    """The stacked core of check_states_bloch and check_states, by columns.
+
+    stack is a (B, N^2 - 1) float array of Bloch rows or a (B, N, N)
+    complex stack of matrices, of validated shape; the path follows its
+    shape.  The single route's kernels run over the leading axis (the
+    projection of the matrices, the Bloch map, the power traces and the
+    Newton recursion), then the stacked rank rule.  Returns is_state, rank
+    and margin as lists of B Python bools, ints and floats, and a dict from
+    row index to the ValueError of each row that has no verdict (its
+    column entries then mean nothing).  A row that from_bloch or
+    trace_invariants would reject is judged by check_state_bloch, and a
+    matrix that to_bloch would reject by check_state_bloch(to_bloch(rho));
+    their fields are written into the columns.  A matrix stack with N < 2
+    raises.
+    """
+    matrices = stack.ndim == 3
+    if matrices and N < 2:
+        raise ValueError("need N >= 2")
+    # A row whose powers overflow or turn NaN is judged by its values, as
+    # check_state_bloch judges it, but without a RuntimeWarning.
+    with np.errstate(all="ignore"):
+        xis = _bloch_projection(stack, N) if matrices else stack
+        tk, residue = _power_traces(_bloch_map(xis, N), N)
+        T = tk.real.T
+        S = _newton_coefficients(T)
+        margin = S.min(axis=1)
+        is_state = (margin >= -tol).tolist()
+        rank = _rank_from_ratios_stack(S, T, tol).tolist()
+        margin = margin.tolist()
+        rejected = residue.any(axis=0) | ~np.isfinite(xis).all(axis=1)
+        flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
+        if matrices:
+            tr = np.trace(stack, axis1=1, axis2=2)
+            # negated <= so that a NaN trace or defect flags its matrix too
+            ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(stack) <= HERMITIAN_TOL)
+            flagged.update((b, stack[b]) for b in np.flatnonzero(~ok).tolist())
+        errors = {}
+        for b, row in flagged.items():
+            try:
+                v = check_state_bloch(row if row.ndim == 1 else to_bloch(row), tol)
+            except ValueError as exc:
+                errors[b] = exc
+            else:
+                is_state[b], rank[b], margin[b] = v.is_state, v.rank, v.margin
+    return is_state, rank, margin, errors
+
+
+def _verdicts(N: int, tol: float, is_state: list, rank: list, margin: list, errors: dict) -> list:
+    """_stack_columns' columns as the list of the stack entry points."""
+    return [
+        errors[b] if b in errors else StateClassification(s, r, _stratum(s, r, N, m, tol), m)
+        for b, (s, r, m) in enumerate(zip(is_state, rank, margin))
+    ]
 
 
 def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
@@ -392,22 +447,7 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     if xis.ndim != 2:
         raise ValueError(f"expected a (B, N^2 - 1) array of Bloch vectors, got shape {xis.shape}")
     N = dim_from_bloch(xis.shape[1])
-    # A row whose powers overflow or turn NaN is judged by its values, as
-    # check_state_bloch judges it, but without a RuntimeWarning.
-    with np.errstate(all="ignore"):
-        tk, residue = _power_traces(_bloch_map(xis, N), N)
-        T = tk.real.T
-        rejected = residue.any(axis=0) | ~np.isfinite(xis).all(axis=1)
-        S = _newton_coefficients(T)
-        margin = S.min(axis=1)
-        ranks = _rank_from_ratios_stack(S, T, tol)
-        verdicts = [
-            _verdict(is_state, rank, N, m, tol)
-            for is_state, rank, m in zip((margin >= -tol).tolist(), ranks.tolist(), margin.tolist())
-        ]
-        for b in np.flatnonzero(rejected):
-            verdicts[b] = _verdict_or_error(lambda: check_state_bloch(xis[b], tol))
-    return verdicts
+    return _verdicts(N, tol, *_stack_columns(xis, N, tol))
 
 
 def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
@@ -421,16 +461,7 @@ def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     N = rhos.shape[-1]
-    if N < 2:
-        raise ValueError("need N >= 2")
-    with np.errstate(all="ignore"):
-        tr = np.trace(rhos, axis1=1, axis2=2)
-        # negated <= so that a NaN trace or defect flags its matrix too
-        rejected = ~((np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(rhos) <= HERMITIAN_TOL))
-        verdicts = check_states_bloch(_bloch_projection(rhos, N), tol)
-        for b in np.flatnonzero(rejected):
-            verdicts[b] = _verdict_or_error(lambda: check_state_bloch(to_bloch(rhos[b]), tol))
-    return verdicts
+    return _verdicts(N, tol, *_stack_columns(rhos, N, tol))
 
 
 def uniform_simplex(N: int, rng: np.random.Generator) -> np.ndarray:

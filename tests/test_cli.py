@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import quditorbits.cli as cli
 from quditorbits.cli import run
@@ -233,6 +235,81 @@ def test_check_huge_record_matches_single_shot_without_warning(capsys, monkeypat
     assert code == 2
     assert err == ""
     assert json.loads(out)["is_state"] is False
+
+
+_EDGE_MARGINS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1]
+
+
+@pytest.mark.parametrize("is_state", [True, False])
+@pytest.mark.parametrize(
+    "stratum", [None, "pure", "interior", "boundary-rank-2", "boundary-rank-12"]
+)
+@settings(max_examples=60, deadline=None)
+@given(margin=hst.floats(), rank=hst.integers(0, 64))
+def test_verdict_line_is_json_dumps(is_state, stratum, margin, rank):
+    for m in [margin, *_EDGE_MARGINS]:
+        fields = {"is_state": is_state, "rank": rank, "stratum": stratum, "margin": m}
+        assert cli._verdict_line(is_state, rank, stratum, m) == json.dumps(fields)
+
+
+def _reference_check(text, N=None):
+    """`check`'s (exit code, stdout, stderr) built record by record:
+    json.loads, _parse_record, check_state_bloch and json.dumps."""
+    lines, errors = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            kind, data = cli._parse_record(json.loads(raw), N)
+            v = check_state_bloch(data if kind == "xi" else to_bloch(data))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            errors.append(f"line {lineno}: {exc}\n")
+            continue
+        fields = {"is_state": v.is_state, "rank": v.rank, "stratum": v.stratum, "margin": v.margin}
+        lines.append(json.dumps(fields))
+    out = "\n".join(lines) + "\n" if lines or not errors else ""
+    code = 1 if errors else 0 if all(json.loads(line)["is_state"] for line in lines) else 2
+    return code, out, "".join(errors)
+
+
+def _mixed_chunk():
+    """Valid records of both kinds at N = 2..5, with every way a record can
+    break a group build mixed in."""
+    rng = np.random.default_rng(13)
+    records = [_state_record(2 + k % 4, rng, "xi" if k % 3 else "rho") for k in range(24)]
+    records.append({"xi": (np.asarray(_state_record(3, rng, "xi")["xi"]) * 3.0).tolist()})
+    records.append({"N": 4, "xi": _state_record(3, rng, "xi")["xi"]})  # disagreeing "N"
+    records.append({"N": 3.0, "xi": _state_record(3, rng, "xi")["xi"]})  # agreeing, as a float
+    records.append({"xi": [True, 0, 0.5]})  # bool and int cells in a float group
+    records.append({"rho": [[[1, 0], [0, 0]], [[0, 0], [False, 0]]]})
+    records.append({"rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]})  # ragged
+    records.append({"rho": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]})  # string cell
+    records.append({"xi": ["0.1", 0, 0]})  # a numeric string, which numpy converts
+    records.append({"xi": ["a", 0, 0, 0, 0, 0, 0, 0]})
+    records.append({"xi": 3})
+    records.append([1, 2])
+    records.append("x")
+    records.append({"xi": [[0.0, 0.0, 0.0]]})  # nested
+    records.append({"rho": [[[1.0, 0.0]]]})  # N = 1
+    records.append({"xi": [0.0] * 5})
+    lines = [json.dumps(record) for record in records]
+    lines.append('{"xi": [1' + "0" * 400 + ", 0, 0]}")
+    lines.append("not json")
+    order = np.random.default_rng(14).permutation(len(lines))
+    return [lines[i] for i in order]
+
+
+@pytest.mark.parametrize("argv", [[], ["--N", "3"]])
+@pytest.mark.parametrize("one_chunk", [True, False])
+def test_batch_check_matches_record_by_record_reference(capsys, monkeypatch, argv, one_chunk):
+    lines = _mixed_chunk()
+    monkeypatch.setattr(cli, "CHECK_CHUNK", len(lines) if one_chunk else 9)
+    text = "\n".join(lines) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    N = int(argv[1]) if argv else None
+    got = invoke(capsys, "check", *argv)
+    assert got == _reference_check(text, N)
+    assert got[1].count("\n") >= 5
 
 
 def test_unknown_command_exits_1(capsys):

@@ -74,15 +74,6 @@ def _verdict_line(is_state: bool, rank: int, stratum: str | None, margin: float)
     )
 
 
-def _rho_from_record(record: dict) -> np.ndarray:
-    cells = np.array(record["rho"])
-    if cells.dtype.kind not in "biuf":
-        raise ValueError("rho cells must hold numbers")
-    if cells.ndim != 3 or cells.shape[1:] != (cells.shape[0], 2):
-        raise ValueError(f"rho must be N x N [re, im] cells, got shape {cells.shape}")
-    return np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
-
-
 def _cmd_basis(args) -> int:
     basis = gell_mann_basis(args.N)
     _emit([_dumps(basis_to_json(basis))], args.out)
@@ -110,104 +101,111 @@ def _require_dim(expected, N: int, source: str = "--N") -> None:
         raise ValueError(f"{source} {expected!r} disagrees with input dimension {N}")
 
 
-def _require_dims(record: dict, N: int | None, dim: int) -> None:
-    _require_dim(N, dim)
-    _require_dim(record.get("N"), dim, 'record field "N"')
+def _require_numbers(kind: str, fields: list) -> None:
+    """Raise for the first entry of the fields that is no JSON number."""
+    for row in np.array(fields, dtype=object).reshape(len(fields), -1).tolist():
+        for k, v in enumerate(row):
+            if type(v) is not float and type(v) is not int:  # bool subclasses int
+                if kind == "rho":
+                    raise ValueError("rho cells must hold numbers")
+                shown = "{...}" if type(v) is dict else json.dumps(v)
+                raise ValueError(f"Bloch component xi_{k + 1} = {shown} is not a number")
 
 
-def _parse_record(record: dict, N: int | None) -> tuple:
-    """("xi", xi) or ("rho", rho) from a state record, after the checks
-    that need no arithmetic: dimension, --N and the record's own "N"."""
-    if "xi" in record:
-        xi = np.asarray(record["xi"], dtype=float)
-        _require_dims(record, N, st.dim_from_bloch(xi))
-        return "xi", xi
-    if "rho" in record:
-        rho = _rho_from_record(record)
-        _require_dims(record, N, rho.shape[0])
-        return "rho", rho
-    raise ValueError("state record needs an 'xi' or 'rho' field")
-
-
-def _group_key(record):
-    """(kind, list length) of a record whose state field is a JSON list, or
-    None.  _parse_record accepts a field only when it is such a list, of
-    length N^2 - 1 for "xi" and N for "rho", so the records it accepts
-    within one group share one shape."""
-    if type(record) is dict:
-        kind = "xi" if "xi" in record else "rho" if "rho" in record else None
-        if kind is not None and type(record[kind]) is list:
-            return kind, len(record[kind])
-    return None
-
-
-def _group_array(key, records: list, N: int | None) -> tuple:
-    """(stack, dimension) of a group of records that share a key, built in
-    one np.array call and checked once for the dimension, --N and the
-    records' own "N".  Raises when a record of the group needs its own
-    look: ragged, non-numeric or overflowing cells, a wrong shape or a
-    disagreeing N."""
-    kind, length = key
-    B = len(records)
+def _read_states(kind: str, records: list, N: int | None, literals: bool = False) -> tuple:
+    """(stack, dimension) from the kind ("xi" or "rho") fields of B records,
+    in one np.array call: the (B, N^2 - 1) Bloch rows or (B, N, N)
+    matrices that st._stack_columns takes.  Owns every rule about a field,
+    checked in this order: one rectangular array, of the kind's shape;
+    JSON numbers only (numpy turns true and false into numbers beside
+    other numbers, so they are looked for only if the caller saw such a
+    literal in the records' text); floats; N agreeing with --N and each
+    record's "N"; N >= 2.  The first broken rule raises (ValueError, or
+    OverflowError past the float range), worded for one record: a group
+    that fails is read again one record at a time."""
+    fields = [record[kind] for record in records]
+    try:
+        cells = np.array(fields)
+    except ValueError:  # ragged, or nested past numpy's limit
+        raise ValueError(f"{kind} must be a rectangular list of numbers") from None
+    shape = cells.shape[1:]  # each record's
     if kind == "xi":
-        stack = np.array([record["xi"] for record in records], dtype=float)
-        if stack.shape != (B, length):
-            raise ValueError(f"Bloch rows of shape {stack.shape}")
-        dim = st.dim_from_bloch(length)
+        dim = st.dim_from_bloch(cells[0, ...])  # an array even for a scalar field
+    elif len(shape) != 3 or shape[1:] != (shape[0], 2):
+        raise ValueError(f"rho must be N x N [re, im] cells, got shape {shape}")
     else:
-        cells = np.array([record["rho"] for record in records])
-        if cells.dtype.kind not in "biuf" or cells.shape != (B, length, length, 2):
-            raise ValueError(f"rho cells of type {cells.dtype} and shape {cells.shape}")
-        stack = np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
-        dim = length
-    if (N is not None and N != dim) or any(
-        record.get("N", dim) not in (None, dim) for record in records
-    ):
-        raise ValueError("a dimension disagrees")
-    return stack, dim
+        dim = shape[0]
+    if literals or cells.dtype.kind not in "iuf":
+        _require_numbers(kind, fields)
+    stack = np.ascontiguousarray(cells, dtype=float)
+    _require_dim(N, dim)
+    for record in records:
+        _require_dim(record.get("N"), dim, 'record field "N"')
+    if kind == "xi":
+        return stack, dim
+    if dim < 2:
+        raise ValueError("need N >= 2")
+    return stack.view(complex)[..., 0], dim
+
+
+def _group_key(record) -> tuple:
+    """(kind, list length) of a state record, or (kind, None) if its field
+    is no list: a group the reader refuses by shape, so that each of its
+    records is read alone.  Raises if the record is no JSON object with an
+    "xi" or "rho" field."""
+    if type(record) is dict:
+        for kind in ("xi", "rho"):
+            if kind in record:
+                field = record[kind]
+                return kind, len(field) if type(field) is list else None
+    raise ValueError("state record needs an 'xi' or 'rho' field")
 
 
 def _check_chunk(chunk: list, N: int | None, tol: float) -> tuple:
     """Verdict lines, in input order, and (line number, error) failures for
     one chunk of (line number, text) records.
 
-    Records are grouped by kind and list length; each group is built as
-    one array and classified in one stacked pass.  A group that
-    _group_array refuses is built record by record through _parse_record,
-    which owns every per-record message; its bad records become failures
-    and its good ones are classified together.
+    Each line is parsed with one json.loads; a line that does not parse,
+    nested too deep included, or is no state record is a failure.  The
+    records are grouped by kind and list length (_group_key); _read_states
+    reads each group into one array, classified in one stacked pass.  A
+    group the reader refuses is read again one record at a time: its bad
+    records become failures with the reader's message, and its good ones
+    are classified together.
     """
     failures = []
     groups = {}
     for i, (lineno, raw) in enumerate(chunk):
         try:
             record = json.loads(raw)
-        except ValueError as exc:
+            key = _group_key(record)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             failures.append((lineno, exc))
             continue
-        groups.setdefault(_group_key(record), []).append((i, record))
+        groups.setdefault(key, []).append((i, record))
+    # Each true holds a "u" and each false an "l", and no number or key of a
+    # state record holds either: two one-character searches, a few us a chunk.
+    text = "\n".join([raw for _, raw in chunk])
+    literals = "u" in text or "l" in text
     lines = [None] * len(chunk)
     any_invalid = False
-    for key, members in groups.items():
+    for (kind, _), members in groups.items():
         try:
-            stack, dim = _group_array(key, [record for _, record in members], N)
-        except (ValueError, TypeError, OverflowError):
+            stack, dim = _read_states(kind, [record for _, record in members], N, literals)
+        except (ValueError, OverflowError):
             parsed = []
             for i, record in members:
                 try:
-                    parsed.append((i, _parse_record(record, N)[1]))
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    one, dim = _read_states(kind, [record], N, literals)
+                except (ValueError, OverflowError) as exc:
                     failures.append((chunk[i][0], exc))
+                else:
+                    parsed.append((i, one))
             if not parsed:
                 continue
             members = parsed
-            stack = np.stack([data for _, data in parsed])
-            dim = stack.shape[-1] if stack.ndim == 3 else st.dim_from_bloch(stack.shape[1])
-        try:
-            is_state, rank, margin, errors = st._stack_columns(stack, dim, tol)
-        except ValueError as exc:  # one for the whole group, such as N < 2
-            failures.extend((chunk[i][0], exc) for i, _ in members)
-            continue
+            stack = np.concatenate([one for _, one in parsed])
+        is_state, rank, margin, errors = st._stack_columns(stack, dim, tol)
         for b, (i, _) in enumerate(members):
             if b in errors:
                 failures.append((chunk[i][0], errors[b]))
@@ -236,11 +234,11 @@ def _stdin_chunks():
 def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
-        _, xi = _parse_record({"xi": _parse_floats(args.xi, "--xi")}, args.N)
+        xis, _ = _read_states("xi", [{"xi": _parse_floats(args.xi, "--xi")}], args.N)
         # a finite xi whose powers overflow is judged by its values, as in
         # batch mode, without a RuntimeWarning
         with np.errstate(all="ignore"):
-            v = st.check_state_bloch(xi, tol)
+            v = st.check_state_bloch(xis[0], tol)
         _emit([_verdict_line(v.is_state, v.rank, v.stratum, v.margin)], args.out)
         return 0 if v.is_state else 2
 

@@ -254,15 +254,19 @@ def test_verdict_line_is_json_dumps(is_state, stratum, margin, rank):
 
 def _reference_check(text, N=None):
     """`check`'s (exit code, stdout, stderr) built record by record:
-    json.loads, _parse_record, check_state_bloch and json.dumps."""
+    json.loads, _group_key for the kind, _read_states on a group of one
+    (scanning every entry for true and false), check_state_bloch and
+    json.dumps."""
     lines, errors = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            kind, data = cli._parse_record(json.loads(raw), N)
-            v = check_state_bloch(data if kind == "xi" else to_bloch(data))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            record = json.loads(raw)
+            kind = cli._group_key(record)[0]
+            stack, _ = cli._read_states(kind, [record], N, literals=True)
+            v = check_state_bloch(stack[0] if kind == "xi" else to_bloch(stack[0]))
+        except (ValueError, OverflowError, RecursionError) as exc:
             errors.append(f"line {lineno}: {exc}\n")
             continue
         fields = {"is_state": v.is_state, "rank": v.rank, "stratum": v.stratum, "margin": v.margin}
@@ -280,16 +284,18 @@ def _mixed_chunk():
     records.append({"xi": (np.asarray(_state_record(3, rng, "xi")["xi"]) * 3.0).tolist()})
     records.append({"N": 4, "xi": _state_record(3, rng, "xi")["xi"]})  # disagreeing "N"
     records.append({"N": 3.0, "xi": _state_record(3, rng, "xi")["xi"]})  # agreeing, as a float
-    records.append({"xi": [True, 0, 0.5]})  # bool and int cells in a float group
-    records.append({"rho": [[[1, 0], [0, 0]], [[0, 0], [False, 0]]]})
+    records.append({"xi": [True, 0, 0.5]})  # a bool that numpy would turn into 1.0
+    records.append({"rho": [[[1, 0], [0, 0]], [[0, 0], [False, 0]]]})  # int cells and a bool
     records.append({"rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]})  # ragged
     records.append({"rho": [[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]})  # string cell
-    records.append({"xi": ["0.1", 0, 0]})  # a numeric string, which numpy converts
+    records.append({"xi": ["0.1", 0, 0]})  # a numeric string, which numpy would convert
     records.append({"xi": ["a", 0, 0, 0, 0, 0, 0, 0]})
     records.append({"xi": 3})
     records.append([1, 2])
     records.append("x")
     records.append({"xi": [[0.0, 0.0, 0.0]]})  # nested
+    records.append({"xi": [None, 0, 0]})  # which numpy would turn into NaN
+    records.extend([5, None])
     records.append({"rho": [[[1.0, 0.0]]]})  # N = 1
     records.append({"xi": [0.0] * 5})
     lines = [json.dumps(record) for record in records]
@@ -310,6 +316,61 @@ def test_batch_check_matches_record_by_record_reference(capsys, monkeypatch, arg
     got = invoke(capsys, "check", *argv)
     assert got == _reference_check(text, N)
     assert got[1].count("\n") >= 5
+
+
+_XI_ROWS = [  # N = 2 Bloch rows: 3 numbers
+    ('["0.1", 0, 0]', 'Bloch component xi_1 = "0.1" is not a number'),
+    ("[0, null, 0]", "Bloch component xi_2 = null is not a number"),
+    ("[0.1, 0, true]", "Bloch component xi_3 = true is not a number"),
+    ("[true, false, false]", "Bloch component xi_1 = true is not a number"),
+    ("[0.1, [0, 0], 0]", "xi must be a rectangular list of numbers"),
+]
+_RHO_ROWS = [  # N = 2 matrices: 2 x 2 [re, im] cells
+    ('[[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]', "rho cells must hold numbers"),
+    ("[[[0.5, 0], [null, 0]], [[0, 0], [0.5, 0]]]", "rho cells must hold numbers"),
+    ("[[[0.5, 0], [0, false]], [[0, 0], [0.5, 0]]]", "rho cells must hold numbers"),
+    ("[[[true, false], [false, false]], [[false, false], [true, false]]]", "rho cells must hold numbers"),
+    ("[[[0.5, 0], [0, 0]], [[0, 0]]]", "rho must be a rectangular list of numbers"),
+]
+
+
+@pytest.mark.parametrize("argv", [[], ["--N", "2"]])
+@pytest.mark.parametrize("in_group", [False, True])
+@pytest.mark.parametrize(
+    "bad, message",
+    [('{"xi": %s}' % row, message) for row, message in _XI_ROWS]
+    + [('{"rho": %s}' % cells, message) for cells, message in _RHO_ROWS]
+    + [(line, "state record needs an 'xi' or 'rho' field") for line in ("5", "null", '"xi"')],
+)
+def test_batch_check_refuses_entries_that_are_not_numbers(
+    capsys, monkeypatch, argv, in_group, bad, message
+):
+    rng = np.random.default_rng(3)
+    kind = "rho" if "rho" in bad else "xi"
+    valid = [_state_record(2, rng, kind) for _ in range(4)] if in_group else []
+    lines = [json.dumps(record) for record in valid[:2]] + [bad]
+    lines += [json.dumps(record) for record in valid[2:]]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check", *argv)
+    assert (code, err) == (1, f"line {3 if in_group else 1}: {message}\n")
+    expected = []
+    for record in valid:
+        data = np.asarray(record[kind])
+        v = check_state_bloch(data if kind == "xi" else to_bloch(data[..., 0] + 1j * data[..., 1]))
+        expected.append(json.dumps(
+            {"is_state": v.is_state, "rank": v.rank, "stratum": v.stratum, "margin": v.margin}
+        ))
+    assert out.splitlines() == expected
+
+
+def test_batch_check_reports_a_line_nested_too_deep(capsys, monkeypatch):
+    lines = ['{"xi": [0.1, 0, 0]}', "[" * 200000, '{"xi": [0.2, 0, 0]}']
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = invoke(capsys, "check")
+    assert code == 1
+    assert [json.loads(line)["rank"] for line in out.splitlines()] == [2, 2]
+    assert len(err.splitlines()) == 1
+    assert err.startswith("line 2: maximum recursion depth exceeded")
 
 
 def test_unknown_command_exits_1(capsys):

@@ -96,9 +96,19 @@ def _cmd_tensors(args) -> int:
     return 0
 
 
+def _json_text(v) -> str:
+    """A parsed JSON value spelled as JSON, an object shortened to {...}."""
+    return "{...}" if type(v) is dict else json.dumps(v)
+
+
 def _require_dim(expected, N: int, source: str = "--N") -> None:
-    if expected is not None and expected != N:
-        raise ValueError(f"{source} {expected!r} disagrees with input dimension {N}")
+    """Raise unless expected is None (no dimension given) or the int N."""
+    if expected is None:
+        return
+    if type(expected) is not int:  # bool subclasses int
+        raise ValueError(f"{source} must be an integer, got {_json_text(expected)}")
+    if expected != N:
+        raise ValueError(f"{source} {expected} disagrees with input dimension {N}")
 
 
 def _require_numbers(kind: str, fields: list) -> None:
@@ -108,8 +118,7 @@ def _require_numbers(kind: str, fields: list) -> None:
             if type(v) is not float and type(v) is not int:  # bool subclasses int
                 if kind == "rho":
                     raise ValueError("rho cells must hold numbers")
-                shown = "{...}" if type(v) is dict else json.dumps(v)
-                raise ValueError(f"Bloch component xi_{k + 1} = {shown} is not a number")
+                raise ValueError(f"Bloch component xi_{k + 1} = {_json_text(v)} is not a number")
 
 
 def _read_states(kind: str, records: list, N: int | None, literals: bool = False) -> tuple:

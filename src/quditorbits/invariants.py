@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .su_algebra import StructureTensors, vee_product
+from .su_algebra import StructureTensors, _contraction_matrix
 
 # Hermiticity defect max |rho - rho^dag| tolerated by every matrix input,
 # and imaginary residue of tr(rho^k) tolerated relative to |t_k|.  A defect
@@ -295,12 +295,21 @@ def casimirs(xi: np.ndarray, tensors: StructureTensors) -> CasimirValues:
         c4 = (N-1) |xi v xi|^2      c5 = (N-1) ((xi v xi) v xi).(xi v xi)
         c6 = (N-1) |(xi v xi) v xi|^2.
     Under this normalization c2 = (N-1) r^2 for a Bloch vector of length r.
+    The vee products are read off one contraction matrix M(xi), with
+    M(xi) eta = xi v eta: v2 = M xi and v3 = M v2, which is (xi v xi) v xi
+    because d is totally symmetric.  c2 takes no vee product.
+
+    Raises
+    ------
+    ValueError
+        If xi is no vector of length N^2 - 1.
     """
     xi = np.asarray(xi, dtype=float)
     N = tensors.dim
     w = float(N - 1)
-    v2 = vee_product(xi, xi, tensors)
-    v3 = vee_product(v2, xi, tensors)
+    M = _contraction_matrix(xi, tensors)
+    v2 = M @ xi
+    v3 = M @ v2  # (xi v xi) v xi = xi v (xi v xi), as d is symmetric
     return CasimirValues(
         c2=w * float(xi @ xi),
         c3=w * float(xi @ v2),

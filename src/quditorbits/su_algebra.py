@@ -12,7 +12,9 @@ rest of the library hangs off of them:
 * the weight vectors of the defining representation (the halved diagonals
   of the Cartan generators),
 * the symmetric "vee" product (xi v eta)_k ~ d_ijk xi_i eta_j on adjoint
-  vectors, summed over the nonzero d_ijk only, and
+  vectors, as M(xi) eta with the symmetric contraction matrix
+  M(xi)_ik ~ d_ijk xi_j, which one bincount over the nonzero d_ijk forms
+  (casimirs builds it once and applies it twice), and
 * the orthonormal Darboux frame spanning the traceless diagonal subspace
   of the eigenvalue simplex.
 
@@ -26,7 +28,7 @@ coincides with the conventional lambda_1..lambda_8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,6 +119,15 @@ class StructureTensors:
         if value == 0.0:
             return 0.0
         return value * _permutation_sign((i, j, k))
+
+    @cached_property
+    def _vee_table(self) -> tuple:
+        """(j, flat (i, k) key i n + k, sqrt(N(N-1)/2) d_ijk) over the d
+        entries: what _contraction_matrix reads, formed once per table."""
+        i, j, k = self.d_index
+        N = self.dim
+        scaled = np.sqrt(N * (N - 1) / 2.0) * self.d_values
+        return j, _readonly(i * self.size + k), _readonly(scaled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +304,18 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     Raises
     ------
     ValueError
-        If the basis fails tr(lam_i lam_j) = 2 delta_ij beyond 1e-10.
+        If the basis fails tr(lam_i lam_j) = 2 delta_ij beyond 1e-10, or
+        has a NaN or infinite entry.
     """
     lam = basis.elements
     n = basis.size
-    gram = np.einsum("aij,bji->ab", lam, lam)
-    defect = np.max(np.abs(gram - 2.0 * np.eye(n)))
-    if defect > ORTHONORMALITY_TOL:
+    # gram_ab = tr(lam_a lam_b) as one BLAS product.  A NaN or infinite
+    # entry makes the defect NaN (inf * 0, quiet under errstate), which the
+    # negated <= refuses.
+    with np.errstate(invalid="ignore"):
+        gram = lam.reshape(n, -1) @ lam.swapaxes(1, 2).reshape(n, -1).T
+        defect = np.max(np.abs(gram - 2.0 * np.eye(n)))
+    if not defect <= ORTHONORMALITY_TOL:
         raise ValueError(
             f"basis is not orthonormal: max |tr(l_i l_j) - 2 delta_ij| = {defect:.3e}"
         )
@@ -348,10 +364,22 @@ def vee_product(xi: np.ndarray, eta: np.ndarray, tensors: StructureTensors) -> n
             f"vee product for su({tensors.dim}) needs vectors of length {n}, "
             f"got {xi.shape} and {eta.shape}"
         )
-    N = tensors.dim
-    scale = np.sqrt(N * (N - 1) / 2.0)
-    i, j, k = tensors.d_index
-    return scale * np.bincount(k, weights=tensors.d_values * xi[i] * eta[j], minlength=n)
+    return _contraction_matrix(xi, tensors) @ eta
+
+
+def _contraction_matrix(xi: np.ndarray, tensors: StructureTensors) -> np.ndarray:
+    """M(xi)_ik = sqrt(N(N-1)/2) sum_j d_ijk xi_j, so that M(xi) eta = xi v eta.
+
+    One bincount over the d entries, keyed by their flat (i, k) pair; M is
+    symmetric, as d is.  Raises unless xi is a float vector of length N^2 - 1.
+    """
+    n = tensors.size
+    if xi.shape != (n,):
+        raise ValueError(
+            f"su({tensors.dim}) needs adjoint vectors of length {n}, got shape {xi.shape}"
+        )
+    j, key, scaled = tensors._vee_table
+    return np.bincount(key, weights=scaled * xi[j], minlength=n * n).reshape(n, n)
 
 
 @lru_cache(maxsize=None)

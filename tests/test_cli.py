@@ -283,7 +283,7 @@ def _mixed_chunk():
     records = [_state_record(2 + k % 4, rng, "xi" if k % 3 else "rho") for k in range(24)]
     records.append({"xi": (np.asarray(_state_record(3, rng, "xi")["xi"]) * 3.0).tolist()})
     records.append({"N": 4, "xi": _state_record(3, rng, "xi")["xi"]})  # disagreeing "N"
-    records.append({"N": 3.0, "xi": _state_record(3, rng, "xi")["xi"]})  # agreeing, as a float
+    records.append({"N": 3.0, "xi": _state_record(3, rng, "xi")["xi"]})  # a float "N", refused
     records.append({"xi": [True, 0, 0.5]})  # a bool that numpy would turn into 1.0
     records.append({"rho": [[[1, 0], [0, 0]], [[0, 0], [False, 0]]]})  # int cells and a bool
     records.append({"rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]})  # ragged
@@ -332,6 +332,14 @@ _RHO_ROWS = [  # N = 2 matrices: 2 x 2 [re, im] cells
     ("[[[true, false], [false, false]], [[false, false], [true, false]]]", "rho cells must hold numbers"),
     ("[[[0.5, 0], [0, 0]], [[0, 0]]]", "rho must be a rectangular list of numbers"),
 ]
+_N_FIELDS = [  # a record's own "N" beside an N = 2 Bloch row
+    ('"2"', 'must be an integer, got "2"'),
+    ("true", "must be an integer, got true"),
+    ("2.0", "must be an integer, got 2.0"),
+    ("[2]", "must be an integer, got [2]"),
+    ('{"N": 2}', "must be an integer, got {...}"),
+    ("3", "3 disagrees with input dimension 2"),
+]
 
 
 @pytest.mark.parametrize("argv", [[], ["--N", "2"]])
@@ -340,6 +348,8 @@ _RHO_ROWS = [  # N = 2 matrices: 2 x 2 [re, im] cells
     "bad, message",
     [('{"xi": %s}' % row, message) for row, message in _XI_ROWS]
     + [('{"rho": %s}' % cells, message) for cells, message in _RHO_ROWS]
+    + [('{"N": %s, "xi": [0.1, 0, 0]}' % n, f'record field "N" {message}')
+       for n, message in _N_FIELDS]
     + [(line, "state record needs an 'xi' or 'rho' field") for line in ("5", "null", '"xi"')],
 )
 def test_batch_check_refuses_entries_that_are_not_numbers(
@@ -392,12 +402,13 @@ def test_batch_check_stdin(capsys, monkeypatch):
     lines = [
         json.dumps({"N": 3, "xi": [0.0] * 8}),
         json.dumps({"N": 2, "rho": [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]}),
+        json.dumps({"N": None, "xi": [0.0] * 3}),
     ]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code, out, _ = invoke(capsys, "check")
     assert code == 0
     verdicts = [json.loads(line) for line in out.strip().splitlines()]
-    assert [v["rank"] for v in verdicts] == [3, 2]
+    assert [v["rank"] for v in verdicts] == [3, 2, 2]
 
 
 def test_batch_check_flags_non_state(capsys, monkeypatch):

@@ -224,20 +224,29 @@ def test_vee_product_cartan_directions():
 
 def test_vee_product_bilinear_and_symmetric():
     rng = np.random.default_rng(42)
-    t = algebra_tensors(3)
-    x, y, z = rng.normal(size=(3, 8))
-    assert np.allclose(vee_product(x, y, t), vee_product(y, x, t), atol=ORTHO_TOL)
-    assert np.allclose(
-        vee_product(x + 2.0 * z, y, t),
-        vee_product(x, y, t) + 2.0 * vee_product(z, y, t),
-        atol=ORTHO_TOL,
-    )
+    for N in range(3, 9):
+        tables = [algebra_tensors(N)]
+        if N <= 5:
+            tables.append(structure_constants(rotated_basis(N, seed=N)))
+        for t in tables:
+            x, y, z = rng.normal(size=(3, N * N - 1))
+            assert np.max(np.abs(vee_product(x, y, t) - vee_product(y, x, t))) <= VEE_TOL
+            assert np.allclose(
+                vee_product(x + 2.0 * z, y, t),
+                vee_product(x, y, t) + 2.0 * vee_product(z, y, t),
+                atol=ORTHO_TOL,
+            )
 
 
 def test_vee_product_shape_validation():
     t = algebra_tensors(3)
     with pytest.raises(ValueError):
         vee_product(np.zeros(7), np.zeros(8), t)
+
+
+def test_casimirs_refuse_a_wrong_length_vector():
+    with pytest.raises(ValueError, match="length 8"):
+        casimirs(np.zeros(7), algebra_tensors(3))
 
 
 def test_darboux_frame_values():
@@ -288,6 +297,16 @@ def test_structure_constants_rejects_bad_basis():
         structure_constants(type(basis)(dim=3, elements=broken, cartan_indices=basis.cartan_indices))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1j * np.inf])
+def test_structure_constants_refuses_non_finite_basis(entry):
+    # a NaN defect fails no "defect > tol" test; the gate must refuse it
+    basis = gell_mann_basis(3)
+    broken = basis.elements.copy()
+    broken[0, 0, 1] = entry
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        structure_constants(BasisSet(dim=3, elements=broken, cartan_indices=basis.cartan_indices))
+
+
 def test_invalid_dimension():
     with pytest.raises(ValueError):
         gell_mann_basis(1)
@@ -318,6 +337,38 @@ def test_vee_product_matches_dense_contraction():
             x, y = rng.normal(size=(2, N * N - 1))
             expect = scale * np.einsum("ijk,i,j->k", d, x, y)
             assert np.max(np.abs(vee_product(x, y, t) - expect)) <= VEE_TOL
+
+
+def dense_casimirs(xi, d, N):
+    """c2..c6 from the dense d by einsum: the casimirs docstring's chains."""
+    scale = math.sqrt(N * (N - 1) / 2.0)
+    v2 = scale * np.einsum("ijk,i,j->k", d, xi, xi)
+    v3 = scale * np.einsum("ijk,i,j->k", d, v2, xi)
+    return (N - 1) * np.array([xi @ xi, xi @ v2, v2 @ v2, v3 @ v2, v3 @ v3])
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_casimirs_match_dense_contraction(rotated):
+    rng = np.random.default_rng(12)
+    for N in range(3, 7):
+        basis = rotated_basis(N, seed=N) if rotated else gell_mann_basis(N)
+        t = structure_constants(basis)
+        _, _, d, _ = dense_reference_tables(basis)
+        scale = math.sqrt(N * (N - 1) / 2.0)
+        for xi in rng.normal(size=(6, N * N - 1)):
+            got = np.array(list(casimirs(xi, t).as_dict().values()))
+            # c_k is a sum of terms of size (N - 1) scale^(k-2) |xi|^k
+            size = (N - 1) * scale ** np.arange(5) * np.linalg.norm(xi) ** np.arange(2, 7)
+            assert np.all(np.abs(got - dense_casimirs(xi, d, N)) <= VEE_TOL * size)
+
+
+def test_casimir_c2_is_exactly_the_squared_length():
+    # what a caller may test bit for bit: c2 = (N - 1) xi.xi
+    rng = np.random.default_rng(2)
+    for N in range(2, 9):
+        t = algebra_tensors(N)
+        for xi in rng.normal(size=(8, N * N - 1)):
+            assert casimirs(xi, t).c2 == (N - 1) * float(xi @ xi)
 
 
 def test_rotated_basis_gives_standard_tables():

@@ -244,8 +244,9 @@ def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
         xis, _ = _read_states("xi", [{"xi": _parse_floats(args.xi, "--xi")}], args.N)
-        # a finite xi whose powers overflow is judged by its values, as in
-        # batch mode, without a RuntimeWarning
+        # a finite xi whose S_k overflow is judged by its values, and one
+        # whose matrix or powers overflow is refused, as in batch mode,
+        # without a RuntimeWarning
         with np.errstate(all="ignore"):
             v = st.check_state_bloch(xis[0], tol)
         _emit([_verdict_line(v.is_state, v.rank, v.stratum, v.margin)], args.out)

@@ -7,11 +7,12 @@ discriminant, and the Casimir invariants built from the adjoint vector
 with the symmetric vee product.
 
 A trace tuple (TraceInvariants) holds its values read-only and forms its
-S_k, its Newton extension through t_{2N-2}, its Bezoutian and its
-discriminant at most once, on first use; char_coefficients,
-newton_extend, bezoutian and discriminant hand these out read-only, so a
-caller that asks for the same invariant twice, as the trace route's
-check followed by discriminant does, pays for it once.
+S_k, its Newton extension through t_{2N-2}, its Bezoutian, its
+discriminant and the trace route's Cholesky test of the Bezoutian at most
+once, on first use; char_coefficients, newton_extend, bezoutian and
+discriminant hand these out read-only, so a caller that asks for the same
+invariant twice, as the trace route's check followed by discriminant does
+for S and B, pays for it once.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -24,6 +25,7 @@ polynomials in the radial coordinate and the two sphere angles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +45,8 @@ HERMITIAN_TOL = 1e-10
 # trace pipeline; 1e-13 sits on that boundary.
 BEZOUTIAN_RANK_CUTOFF = 1e-13
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True, eq=False)
 class TraceInvariants:
@@ -54,7 +58,8 @@ class TraceInvariants:
     invariants safe to keep: S_1..S_N, the Newton extension through
     t_{2N-2}, the Bezoutian and its determinant are each formed at most
     once per tuple, on first use by char_coefficients, newton_extend,
-    bezoutian or discriminant, and handed out read-only.
+    bezoutian or discriminant, and handed out read-only; so is the trace
+    route's test that B is positive semidefinite.
     """
 
     dim: int
@@ -103,6 +108,24 @@ class TraceInvariants:
     def _disc(self) -> float:
         return float(np.linalg.det(self._bezoutian))
 
+    @cached_property
+    def _bezoutian_psd(self) -> bool:
+        """Procesi-Schwarz: the tuple has a Hermitian matrix iff B is
+        positive semidefinite.  Tested without eigenvalues, by a Cholesky
+        factorisation of B + delta I, delta = 4 N eps max|B| (about B's
+        rounding); a B with a NaN or infinite entry fails."""
+        B = self._bezoutian
+        scale = float(np.abs(B).max())
+        if not math.isfinite(scale):
+            return False
+        shifted = B.copy()
+        shifted.flat[:: self.dim + 1] += 4.0 * self.dim * _EPS * scale
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
 
 @dataclass(frozen=True)
 class CasimirValues:
@@ -132,7 +155,8 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     -----
     Traces of Hermitian powers are real; the imaginary residue is checked
     against HERMITIAN_TOL (relative to the trace magnitude) and discarded.
-    The lowest power with a residue names it in the error.
+    A trace that overflows float64 is refused too.  The lowest power with
+    a residue or an overflow names it in the error.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -148,19 +172,23 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
 def _trace_tuple(rho: np.ndarray, upto: int) -> TraceInvariants:
     """trace_invariants of a complex N x N matrix that is Hermitian by
     construction, as from_bloch's is exactly: no shape or defect check."""
-    tk, residue = _power_traces(rho, upto)
-    if residue.any():
-        k = int(residue.argmax())
+    tk, rejected = _power_traces(rho, upto)
+    if rejected.any():
+        k = int(rejected.argmax())
+        if not np.isfinite(tk[k]):
+            raise ValueError(f"trace of power {k + 1} leaves the float64 range")
         raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
     return TraceInvariants(dim=rho.shape[-1], values=tk.real)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _power_traces(rho: np.ndarray, upto: int):
     """tr(rho^k), k = 1..upto, over the leading axes of a (..., N, N) array,
     for trace_invariants and check_states_bloch alike: the complex
-    (upto, ...) traces, power first, and a mask, True where an imaginary
-    residue exceeds HERMITIAN_TOL relative to max(1, |t_k|), which
-    trace_invariants refuses.
+    (upto, ...) traces, power first, and a mask, True where t_k is not
+    finite or an imaginary residue exceeds HERMITIAN_TOL relative to
+    max(1, |t_k|), which trace_invariants refuses.  Powers that overflow
+    raise no RuntimeWarning.
     """
     powers = np.empty((upto,) + rho.shape, dtype=complex)
     powers[0] = rho
@@ -168,7 +196,8 @@ def _power_traces(rho: np.ndarray, upto: int):
         np.matmul(powers[k - 1], rho, out=powers[k])
     tk = powers.trace(axis1=-2, axis2=-1)
     # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
-    return tk, np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
+    residue = np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
+    return tk, residue | ~np.isfinite(tk)
 
 
 @np.errstate(invalid="ignore")

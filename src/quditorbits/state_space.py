@@ -7,12 +7,13 @@ S_k(xi) >= 0 on the characteristic coefficients.  Verdicts are reached
 along two routes that must agree, neither of which diagonalizes anything:
 
 * the S_k signs computed from the Bloch vector (check_state_bloch), and
-* the S_k signs plus the Bezoutian discriminant computed from a bare
-  trace tuple (check_state_traces).
+* the S_k signs plus the Procesi-Schwarz certificate, a positive
+  semidefinite Bezoutian tested by Cholesky, computed from a bare trace
+  tuple (check_state_traces).
 
 Both are thin front ends on one classification core (_classify), which
-takes S_k >= 0 (and, on the trace route, disc >= 0) to a verdict and
-reads the rank off the S_k by one rule (_rank_from_ratios).
+takes S_k >= 0 (and, on the trace route, B >= 0) to a verdict and reads
+the rank off the S_k by one rule (_rank_from_ratios).
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import (
+    _EPS,
     HERMITIAN_TOL,
     TraceInvariants,
     _hermitian_defect,
@@ -63,7 +65,6 @@ from .invariants import (
     _require_hermitian,
     _trace_tuple,
     char_coefficients,
-    discriminant,
 )
 from .su_algebra import gell_mann_basis
 
@@ -79,8 +80,6 @@ JACOBI_MAX_SWEEPS = 100
 
 # Bloch-rejection sampling gives up after this many proposals per state.
 REJECTION_MAX_TRIES = 1_000_000
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -328,17 +327,17 @@ def _stratum(is_state: bool, rank: int, N: int, margin: float, tol: float) -> st
 
 
 def _classify(
-    t: TraceInvariants, S: np.ndarray, tol: float, disc: float = math.inf
+    t: TraceInvariants, S: np.ndarray, tol: float, certify: bool = False
 ) -> StateClassification:
     """The classification core behind both routes, from the traces t and
     their characteristic coefficients S.
 
-    A state needs S_k >= -tol for every k and disc >= -tol; the default
-    disc of +inf leaves the discriminant out, whatever the sign of tol.
-    The rank comes from the S_k by _rank_from_ratios.
+    A state needs S_k >= -tol for every k and, with certify (the trace
+    route), a positive semidefinite Bezoutian, tested only once the S_k
+    pass.  The rank comes from the S_k by _rank_from_ratios.
     """
     margin = float(S.min())
-    is_state = bool(margin >= -tol and disc >= -tol)
+    is_state = bool(margin >= -tol) and (not certify or t._bezoutian_psd)
     rank = _rank_from_ratios(S, t, tol)
     return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim, margin, tol), margin)
 
@@ -358,21 +357,19 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
     """Positivity test from a trace tuple alone.
 
     Requires t_1 = 1 within TRACE_TOL (raises otherwise), then demands
-    disc >= 0 and S_k >= 0 for k = 1..N through _classify, the core
-    shared with check_state_bloch.  S and disc are the tuple's own, formed
-    once (S also serves the Newton extension behind disc), so a later
-    discriminant(t) forms nothing again.  No matrix and no eigensolver are
-    touched.
-
-    Caveat: the tuple has a Hermitian matrix only when B is positive
-    semidefinite, which det B >= 0 implies only for N <= 3.  From N = 4 on
-    two pairs of complex roots pass: the power sums of 0.3 +- 0.05i and
-    0.2 +- 0.05i are judged a rank-4 interior state, while B has two
-    negative eigenvalues.
+    S_k >= 0 for k = 1..N through _classify, the core shared with
+    check_state_bloch, and the paper's Procesi-Schwarz certificate: the
+    Bezoutian B_ij = t_{i+j-2} is positive semidefinite, so the t_k are
+    the power sums of real roots.  B >= 0 is tested by a Cholesky
+    factorisation of B + delta I, delta = 4 N eps max|B|, only for a tuple
+    whose S_k pass; det B, which misses two pairs of complex roots from
+    N = 4 on (0.3 +- 0.05i and 0.2 +- 0.05i), is left to discriminant.  S,
+    B and the certificate are the tuple's own, formed once.  No matrix and
+    no eigensolver are touched.
     """
     if not abs(t.t(1) - 1.0) <= TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")
-    return _classify(t, char_coefficients(t), tol, discriminant(t))
+    return _classify(t, char_coefficients(t), tol, certify=True)
 
 
 def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
@@ -394,18 +391,19 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     matrices = stack.ndim == 3
     if matrices and N < 2:
         raise ValueError("need N >= 2")
-    # A row whose powers overflow or turn NaN is judged by its values, as
-    # check_state_bloch judges it, but without a RuntimeWarning.
+    # A row whose S_k overflow is judged by its values, as check_state_bloch
+    # judges it, but without a RuntimeWarning; one whose powers overflow is
+    # flagged by the mask of _power_traces and refused by check_state_bloch.
     with np.errstate(all="ignore"):
         xis = _bloch_projection(stack, N) if matrices else stack
-        tk, residue = _power_traces(_bloch_map(xis, N), N)
+        tk, refused = _power_traces(_bloch_map(xis, N), N)
         T = tk.real.T
         S = _newton_coefficients(T)
         margin = S.min(axis=1)
         is_state = (margin >= -tol).tolist()
         rank = _rank_from_ratios_stack(S, T, tol).tolist()
         margin = margin.tolist()
-        rejected = residue.any(axis=0) | ~np.isfinite(xis).all(axis=1)
+        rejected = refused.any(axis=0) | ~np.isfinite(xis).all(axis=1)
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
         if matrices:
             tr = np.trace(stack, axis1=1, axis2=2)

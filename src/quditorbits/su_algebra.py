@@ -237,8 +237,9 @@ def _triple_traces(lam: np.ndarray):
     y into P_ab[x, z], and each P_ab[x, z] is matched with the entries
     lam_c[z, x].  Generators a are taken in chunks so that no chunk forms
     more than about CONTRACTION_CHUNK_TERMS products, which bounds memory
-    on a dense basis.  Returns the sorted flat keys (a n + b) n + c of the
-    triples with a nonzero term and their complex traces.
+    on a dense basis.  Returns the Gram tr(lam_a lam_b), the sum of the
+    x = z entries of P_ab, then the sorted flat keys (a n + b) n + c of
+    the triples with a nonzero term and their complex traces.
     """
     n, N, _ = lam.shape
     gen, row, col = np.nonzero(lam)
@@ -258,6 +259,7 @@ def _triple_traces(lam: np.ndarray):
     first_gen = np.concatenate(([0], np.flatnonzero(np.diff(window)) + 1, [n]))
     edges = np.searchsorted(gen, first_gen)
 
+    gram = np.zeros(n * n, dtype=complex)
     keys, traces = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         first = np.arange(lo, hi)
@@ -266,13 +268,15 @@ def _triple_traces(lam: np.ndarray):
         pair_key = ((gen[e1] * n + gen[e2]) * N + row[e1]) * N + col[e2]
         pair_key, pair = _sum_by_key(pair_key, val[e1] * val[e2])
         ab, x, z = pair_key // (N * N), (pair_key // N) % N, pair_key % N
+        gram_key, gram_ab = _sum_by_key(ab[x == z], pair[x == z])
+        gram[gram_key] = gram_ab
         where = z * N + x
         owner, idx = _ragged_ranges(pos_start[where], pos_count[where])
         e3 = by_pos[idx]
         k, t = _sum_by_key(ab[owner] * n + gen[e3], pair[owner] * val[e3])
         keys.append(k)
         traces.append(t)
-    return np.concatenate(keys), np.concatenate(traces)
+    return gram.reshape(n, n), np.concatenate(keys), np.concatenate(traces)
 
 
 def _above_threshold(index: np.ndarray, values: np.ndarray):
@@ -298,7 +302,8 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     entries of the generators only, so no (N^2-1)^3 array is formed: the
     standard basis has about 2.5 N^2 entries, about 2.5 N in a row, and
     the work grows like N^3.  Any orthonormal basis goes through the same
-    path; a dense one costs more but stays in bounded memory.
+    path; a dense one costs more but stays in bounded memory.  The
+    orthonormality gate reads tr(lam_i lam_j) off the same contraction.
     Entries below SPARSITY_THRESHOLD are dropped.
 
     Raises
@@ -307,20 +312,14 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
         If the basis fails tr(lam_i lam_j) = 2 delta_ij beyond 1e-10, or
         has a NaN or infinite entry.
     """
-    lam = basis.elements
     n = basis.size
-    # gram_ab = tr(lam_a lam_b) as one BLAS product.  A NaN or infinite
-    # entry makes the defect NaN (inf * 0, quiet under errstate), which the
-    # negated <= refuses.
     with np.errstate(invalid="ignore"):
-        gram = lam.reshape(n, -1) @ lam.swapaxes(1, 2).reshape(n, -1).T
+        gram, keys, traces = _triple_traces(basis.elements)
         defect = np.max(np.abs(gram - 2.0 * np.eye(n)))
     if not defect <= ORTHONORMALITY_TOL:
         raise ValueError(
             f"basis is not orthonormal: max |tr(l_i l_j) - 2 delta_ij| = {defect:.3e}"
         )
-
-    keys, traces = _triple_traces(lam)
     index = np.array(np.unravel_index(keys, (n, n, n)))
     d_index, d_values = _above_threshold(index, traces.real / 2.0)
     f_index, f_values = _above_threshold(index, traces.imag / 2.0)

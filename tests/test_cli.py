@@ -222,7 +222,8 @@ def test_batch_check_keeps_input_order_across_chunks(capsys, monkeypatch):
     assert all(got.startswith(want) for got, want in zip(errors, bad_lines))
 
 
-def test_check_huge_record_matches_single_shot_without_warning(capsys, monkeypatch):
+def test_check_huge_record_is_refused_like_single_shot_without_warning(capsys, monkeypatch):
+    # t_2 ~ 1e600 leaves float64: an explicit refusal, not a -Infinity margin
     xi = [1e300] + [0.0] * 7
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -230,11 +231,9 @@ def test_check_huge_record_matches_single_shot_without_warning(capsys, monkeypat
         batch = invoke(capsys, "check")
         single = invoke(capsys, "check", "--xi", ",".join(repr(x) for x in xi))
     assert caught == []
-    assert batch == single
-    code, out, err = batch
-    assert code == 2
-    assert err == ""
-    assert json.loads(out)["is_state"] is False
+    message = "trace of power 2 leaves the float64 range\n"
+    assert batch == (1, "", "line 1: " + message)
+    assert single == (1, "", "error: " + message)
 
 
 _EDGE_MARGINS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1]

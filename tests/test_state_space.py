@@ -364,10 +364,16 @@ def test_stacked_check_equals_scalar_check(N):
         assert len(stacked) == len(xis)
         for xi, verdict in zip(xis, stacked):
             assert _same_verdict(_scalar(check_state_bloch, xi, tol), verdict), (xi, verdict)
-        # non-finite rows are refused, naming a component; huge finite ones judged
+        # non-finite rows are refused, naming a component; huge finite ones
+        # are judged while their power traces stay finite (t_4 ~ 1e400 does
+        # not), and otherwise refused, naming the power
         assert "xi_1 = nan is not finite" in str(stacked[121])
         assert "xi_1 = inf is not finite" in str(stacked[122])
-        assert all(isinstance(v, StateClassification) for v in stacked[123:])
+        assert "trace of power 2 leaves the float64 range" in str(stacked[123])
+        if N <= 3:
+            assert all(isinstance(v, StateClassification) for v in stacked[124:])
+        else:
+            assert all("trace of power 4 leaves the float64 range" in str(v) for v in stacked[124:])
 
     # matrices: the same through to_bloch, with rejected members in place
     bad = matrices.copy()
@@ -403,7 +409,7 @@ def test_stacked_check_equals_scalar_check(N):
     for t_row, S_row, rho in zip(T, S, matrices):
         t = trace_invariants(rho)
         assert np.array_equal(S_row, char_coefficients(t))
-        check_state_traces(t)  # forms the tuple's disc along with its S
+        check_state_traces(t)  # forms the tuple's S and Bezoutian
         assert discriminant(t) == discriminant(TraceInvariants(dim=N, values=t_row))
 
 
@@ -442,8 +448,8 @@ def test_stacked_check_sizes():
 
 
 def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
-    recursions, determinants = [], []
-    newton, det = invariants._newton_coefficients, np.linalg.det
+    recursions, determinants, factorisations = [], [], []
+    newton, det, cholesky = invariants._newton_coefficients, np.linalg.det, np.linalg.cholesky
 
     def counted_newton(T):
         recursions.append(T.shape[-1])
@@ -453,18 +459,28 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         determinants.append(a)
         return det(a)
 
+    def counted_cholesky(a):
+        factorisations.append(a)
+        return cholesky(a)
+
     monkeypatch.setattr(invariants, "_newton_coefficients", counted_newton)
     monkeypatch.setattr(np.linalg, "det", counted_det)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for N in (2, 3, 5, 8):
         rho = sample_states(N, 1, seed=800 + N)[0]
         recursions.clear()
         determinants.clear()
+        factorisations.clear()
         t = trace_invariants(rho)
         verdict = check_state_traces(t)
-        assert (len(recursions), len(determinants)) == (1, 1)
-        # the route's usual follow-up forms nothing again
+        assert verdict.is_state
+        # the verdict factorises B once and takes no det B; the route's
+        # usual follow-up forms det B once
+        assert (len(recursions), len(determinants), len(factorisations)) == (1, 0, 1)
         disc = discriminant(t)
+        assert (len(recursions), len(determinants)) == (1, 1)
         assert check_state_traces(t) == verdict
+        assert len(factorisations) == 1
         assert char_coefficients(t) is char_coefficients(t)
         bezoutian(t)
         assert discriminant(t) == disc
@@ -474,6 +490,10 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         assert char_coefficients(ext) is char_coefficients(t)
         assert discriminant(ext) == disc
         assert len(recursions) == 1
+    # a tuple whose S_k fail is refused without factorising B: S_2 = -0.25
+    factorisations.clear()
+    assert not check_state_traces(TraceInvariants(dim=3, values=[1.0, 1.5, 0.5])).is_state
+    assert factorisations == []
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -493,6 +513,51 @@ def test_memoised_invariants_equal_fresh_ones(N):
         assert np.array_equal(
             char_coefficients(ext), char_coefficients(TraceInvariants(N, ext.values))
         )
+
+
+def _complex_root_traces(N, count, rng):
+    """t_1..t_N of N roots on the simplex with one or two pairs of them moved
+    off the real axis, to a +- ib with b <= 0.1: tuples that no Hermitian
+    matrix has."""
+    rows = []
+    for _ in range(count):
+        roots = rng.dirichlet(np.ones(N)).astype(complex)
+        for p in range(rng.integers(1, 3)):
+            a = roots[2 * p : 2 * p + 2].real.mean()
+            roots[2 * p : 2 * p + 2] = a + 1j * rng.uniform(0.0, 0.1) * np.array([1, -1])
+        rows.append([np.sum(roots**k).real for k in range(1, N + 1)])
+    return rows
+
+
+def test_trace_route_refuses_the_docstring_complex_roots():
+    # roots 0.3 +- 0.05i, 0.2 +- 0.05i: every S_k and det B pass, B has two
+    # negative eigenvalues
+    roots = np.array([0.3 + 0.05j, 0.3 - 0.05j, 0.2 + 0.05j, 0.2 - 0.05j])
+    t = TraceInvariants(dim=4, values=[np.sum(roots**k).real for k in range(1, 5)])
+    assert char_coefficients(t).min() > 0 and discriminant(t) > 0
+    assert np.sum(np.linalg.eigvalsh(bezoutian(t)) < 0) == 2
+    verdict = check_state_traces(t)
+    assert (verdict.is_state, verdict.stratum) == (False, None)
+
+
+@pytest.mark.parametrize("N", (4, 5, 6))
+def test_trace_route_refuses_complex_roots_whose_s_k_pass(N):
+    # Procesi-Schwarz: the t_k have a Hermitian matrix iff B >= 0.  Keep the
+    # tuples whose S_k pass and whose B has an eigenvalue below -10 delta,
+    # delta = 4 N eps max|B| being the shift of the route's Cholesky test:
+    # the route refuses each, though det B >= -tol passes most of them.
+    kept = disc_passes = 0
+    for row in _complex_root_traces(N, 300, np.random.default_rng(1100 + N)):
+        t = TraceInvariants(dim=N, values=row)
+        B = bezoutian(t)
+        delta = 4 * N * np.finfo(float).eps * np.abs(B).max()
+        if char_coefficients(t).min() < -POSITIVITY_TOL or np.linalg.eigvalsh(B)[0] >= -10 * delta:
+            continue
+        kept += 1
+        disc_passes += discriminant(t) >= -POSITIVITY_TOL
+        verdict = check_state_traces(t)
+        assert (verdict.is_state, verdict.stratum) == (False, None), row
+    assert kept >= 200 and disc_passes >= kept // 2
 
 
 def test_check_traces_requires_unit_trace():

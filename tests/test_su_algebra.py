@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quditorbits.su_algebra as su_algebra
 from quditorbits.invariants import casimirs
 from quditorbits.state_space import haar_unitary
 from quditorbits.su_algebra import (
@@ -305,6 +306,68 @@ def test_structure_constants_refuses_non_finite_basis(entry):
     broken[0, 0, 1] = entry
     with pytest.raises(ValueError, match="basis is not orthonormal"):
         structure_constants(BasisSet(dim=3, elements=broken, cartan_indices=basis.cartan_indices))
+
+
+def _refused_defect(basis):
+    """The defect in structure_constants' refusal of basis, and the same
+    defect from the dense Gram product tr(lam_a lam_b), formed here."""
+    with pytest.raises(ValueError, match="basis is not orthonormal") as refusal:
+        structure_constants(basis)
+    lam, n = basis.elements, basis.size
+    gram = lam.reshape(n, -1) @ lam.swapaxes(1, 2).reshape(n, -1).T
+    reported = float(str(refusal.value).rsplit("= ", 1)[1])
+    return reported, np.max(np.abs(gram - 2.0 * np.eye(n))), gram
+
+
+def _with_elements(basis, elements):
+    return BasisSet(dim=basis.dim, elements=elements, cartan_indices=basis.cartan_indices)
+
+
+def test_gram_gate_refuses_an_off_diagonal_defect():
+    # every tr(l_a l_a) is still 2; only tr(l_1 l_2) = sqrt(2) is wrong
+    basis = gell_mann_basis(4)
+    broken = basis.elements.copy()
+    broken[1] = (broken[0] + broken[1]) / math.sqrt(2.0)
+    reported, defect, gram = _refused_defect(_with_elements(basis, broken))
+    assert np.allclose(np.diagonal(gram), 2.0)
+    assert reported == pytest.approx(defect, rel=1e-3)
+    assert defect == pytest.approx(math.sqrt(2.0))
+
+
+def test_gram_gate_refuses_an_all_zero_generator():
+    # a zero generator has no pair in the join; its Gram entry must read 0
+    basis = gell_mann_basis(4)
+    broken = basis.elements.copy()
+    broken[4] = 0.0
+    reported, defect, _ = _refused_defect(_with_elements(basis, broken))
+    assert reported == pytest.approx(defect, rel=1e-3)
+    assert defect == 2.0
+
+
+def test_gram_gate_over_several_chunks(monkeypatch):
+    # a dense basis contracted in many chunks gives the one-chunk tables, and
+    # a Gram defect in a late chunk is still caught
+    basis = rotated_basis(6, seed=6)
+    monkeypatch.setattr(su_algebra, "CONTRACTION_CHUNK_TERMS", 1 << 62)
+    whole = structure_constants(basis)
+    joins = []
+    ragged = su_algebra._ragged_ranges
+
+    def counted_ragged(starts, counts):
+        joins.append(starts.size)
+        return ragged(starts, counts)
+
+    monkeypatch.setattr(su_algebra, "_ragged_ranges", counted_ragged)
+    monkeypatch.setattr(su_algebra, "CONTRACTION_CHUNK_TERMS", 1 << 16)
+    chunked = structure_constants(basis)
+    assert len(joins) // 2 >= 10  # two joins per chunk
+    for name in ("d_index", "d_values", "f_index", "f_values"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+    broken = basis.elements.copy()
+    broken[30] *= 1.001
+    reported, defect, _ = _refused_defect(_with_elements(basis, broken))
+    assert reported == pytest.approx(defect, rel=1e-3)
+    assert defect == pytest.approx(2.0 * (1.001**2 - 1.0), rel=1e-6)
 
 
 def test_invalid_dimension():

@@ -62,15 +62,13 @@ def _fmt(x: float) -> str:
 
 def _verdict_line(is_state: bool, rank: int, stratum: str | None, margin: float) -> str:
     """The bytes of json.dumps({"is_state": ..., "rank": ..., "stratum": ...,
-    "margin": ...}), formatted without building the dict."""
-    text = float.__repr__(margin)
-    if text[-1] in "nf":  # json.dumps spells nan, inf and -inf its own way
-        text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    "margin": ...}), formatted without building the dict.  The margin is
+    finite: a verdict is read only off S_k within the float64 range."""
     return '{"is_state": %s, "rank": %d, "stratum": %s, "margin": %s}' % (
         "true" if is_state else "false",
         rank,
         "null" if stratum is None else f'"{stratum}"',
-        text,
+        float.__repr__(margin),
     )
 
 
@@ -221,7 +219,7 @@ def _check_chunk(chunk: list, N: int | None, tol: float) -> tuple:
                 continue
             s, r, m = is_state[b], rank[b], margin[b]
             any_invalid = any_invalid or not s
-            lines[i] = _verdict_line(s, r, st._stratum(s, r, dim, m, tol), m)
+            lines[i] = _verdict_line(s, r, st._stratum(s, r, dim), m)
     failures.sort(key=lambda failure: failure[0])
     return [line for line in lines if line is not None], failures, any_invalid
 
@@ -244,11 +242,7 @@ def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
     if args.xi is not None:
         xis, _ = _read_states("xi", [{"xi": _parse_floats(args.xi, "--xi")}], args.N)
-        # a finite xi whose S_k overflow is judged by its values, and one
-        # whose matrix or powers overflow is refused, as in batch mode,
-        # without a RuntimeWarning
-        with np.errstate(all="ignore"):
-            v = st.check_state_bloch(xis[0], tol)
+        v = st.check_state_bloch(xis[0], tol)
         _emit([_verdict_line(v.is_state, v.rank, v.stratum, v.margin)], args.out)
         return 0 if v.is_state else 2
 

@@ -84,6 +84,10 @@ class TraceInvariants:
     @cached_property
     def _S(self) -> np.ndarray:
         S = _newton_coefficients(self.values[: self.dim])
+        # each S_k enters S_{k+1} as S_k t_1, so S_N is finite only if all are
+        if not math.isfinite(S[-1]):
+            k = int(np.isfinite(S).argmin()) + 1
+            raise ValueError(f"characteristic coefficient S_{k} leaves the float64 range")
         S.flags.writeable = False
         return S
 
@@ -223,17 +227,21 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
 
     k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
     the k-th elementary symmetric polynomial of the eigenvalues.  Formed
-    once per tuple; the array is read-only.
+    once per tuple; the array is read-only.  An S_k that leaves the
+    float64 range raises, naming the lowest such k.
     """
     if t.order < t.dim:
         raise ValueError(f"need t_1..t_{t.dim} to form S_1..S_{t.dim}, have order {t.order}")
     return t._S
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_coefficients(T: np.ndarray) -> np.ndarray:
     """S_1..S_N from t_1..t_N by the Newton recursion, over the leading
     axes of a (..., N) array: the one recursion behind char_coefficients
-    and check_states_bloch.
+    and check_states_bloch.  An S_k that leaves float64 (S_2 t_2 may
+    overflow while every t_k is finite) comes out inf or NaN without a
+    RuntimeWarning, for its caller to refuse.
 
     S is kept reversed, rev[..., N - j] = S_j with S_0 = 1, so that the
     S_{k-1}..S_0 of each step are a forward slice of a row, and T is made

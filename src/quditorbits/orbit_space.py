@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state_space import TRACE_TOL
+from .state_space import TRACE_TOL, _stratum
 from .su_algebra import darboux_frame, weight_vectors
 
 ANGLE_CONVENTION = "nested-polar-phi3-last-cartan-axis"
@@ -201,8 +201,12 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
 
     The label lists equal-eigenvalue groups separated by bars (all-distinct
     spectra get the compact regular label, e.g. O_123); the orbit dimension
-    is N^2 - sum of squared multiplicities.  For boundary strata of a
-    qutrit or quatrit the Bloch radius of the embedded lower-dimensional
+    is N^2 - sum of squared multiplicities.  The rank counts the ordered
+    eigenvalues above ZERO_TOL (at least 1), and the stratum is read off
+    it by the rule of the positivity checks (state_space._stratum):
+    "pure", "interior" at full rank, "boundary-rank-k" otherwise, and
+    "not-a-state" for a spectrum off the simplex.  For boundary strata of
+    a qutrit or quatrit the Bloch radius of the embedded lower-dimensional
     qudit is attached.
     """
     if coords.dim != N:
@@ -217,15 +221,7 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
         label = "O_" + "|".join("".join(str(i) for i in b) for b in blocks)
     orbit_dim = N * N - int(sum(m * m for m in mults))
     rank = max(int(np.sum(ordered > ZERO_TOL)), 1)
-
-    if not spec.valid:
-        stratum = "not-a-state"
-    elif rank == 1:
-        stratum = "pure"
-    elif rank == N:
-        stratum = "interior"
-    else:
-        stratum = f"boundary-rank-{rank}"
+    stratum = _stratum(spec.valid, rank, N) or "not-a-state"
 
     # a pure state is the rank-2 stratum's far end, where its qubit is pure
     kind = _EMBEDDINGS.get((N, max(rank, 2)))

@@ -13,7 +13,13 @@ along two routes that must agree, neither of which diagonalizes anything:
 
 Both are thin front ends on one classification core (_classify), which
 takes S_k >= 0 (and, on the trace route, B >= 0) to a verdict and reads
-the rank off the S_k by one rule (_rank_from_ratios).
+the rank off the S_k by one rule (_rank_from_ratios).  The stratum is a
+function of the verdict and the rank alone (_stratum), as the paper
+stratifies the state space by rank: "pure" at rank 1, "interior" at full
+rank and "boundary-rank-k" in between; no margin enters it, and
+orbit_space.rank_strata labels by the same rule.  S_k that leave the
+float64 range are refused, naming the lowest k, so no verdict is read
+off an infinite or NaN coefficient.
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
@@ -86,8 +92,10 @@ REJECTION_MAX_TRIES = 1_000_000
 class StateClassification:
     """Verdict of a positivity test.
 
-    stratum is "pure", "interior" or "boundary-rank-k" for valid states
-    and None otherwise; margin is the smallest characteristic coefficient.
+    stratum is read off is_state and rank alone: "pure" at rank 1,
+    "interior" at full rank N and "boundary-rank-k" otherwise for valid
+    states, and None for the rest.  margin is the smallest characteristic
+    coefficient, always finite; no stratum reads it.
     """
 
     is_state: bool
@@ -124,19 +132,25 @@ def _identity_over(N: int) -> np.ndarray:
     return centre
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def from_bloch(xi: np.ndarray) -> np.ndarray:
     """Assemble rho = I/N + sqrt((N-1)/(2N)) sum_i xi_i lam_i.
 
-    The result is Hermitian with unit trace for any finite real xi;
+    The result is Hermitian, with unit trace up to the rounding of its
+    entries, for any finite real xi whose matrix stays within float64;
     positivity is a separate question answered by the check functions.  A
-    NaN or infinite component raises, naming it.
+    NaN or infinite component raises, naming it, and so does, without a
+    RuntimeWarning, a finite xi whose matrix leaves the float64 range.
     """
     xi = np.asarray(xi, dtype=float)
     N = dim_from_bloch(xi)
-    if not np.isfinite(xi).all():
-        i = int(np.isfinite(xi).argmin())
-        raise ValueError(f"Bloch component xi_{i + 1} = {xi[i]} is not finite")
-    return _bloch_map(xi, N)
+    rho = _bloch_map(xi, N)
+    if not np.isfinite(rho).all():  # as is every entry for a non-finite xi
+        if not np.isfinite(xi).all():
+            i = int(np.isfinite(xi).argmin())
+            raise ValueError(f"Bloch component xi_{i + 1} = {xi[i]} is not finite")
+        raise ValueError("the matrix of the Bloch vector leaves the float64 range")
+    return rho
 
 
 def _bloch_map(xi: np.ndarray, N: int) -> np.ndarray:
@@ -313,15 +327,15 @@ def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndar
     return rank
 
 
-def _stratum(is_state: bool, rank: int, N: int, margin: float, tol: float) -> str | None:
-    """The stratum of a verdict: None for a non-state, then "pure" at rank
-    1, "interior" at full rank with margin above tol, and otherwise
-    "boundary-rank-k" for rank k."""
+def _stratum(is_state: bool, rank: int, N: int) -> str | None:
+    """The stratum of a state of rank k in dimension N, read off the rank
+    alone: None for a non-state, "pure" at rank 1, "interior" at full rank
+    and otherwise "boundary-rank-k"."""
     if not is_state:
         return None
     if rank == 1:
         return "pure"
-    if rank == N and margin > tol:
+    if rank == N:
         return "interior"
     return f"boundary-rank-{rank}"
 
@@ -339,7 +353,7 @@ def _classify(
     margin = float(S.min())
     is_state = bool(margin >= -tol) and (not certify or t._bezoutian_psd)
     rank = _rank_from_ratios(S, t, tol)
-    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim, margin, tol), margin)
+    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim), margin)
 
 
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
@@ -383,17 +397,17 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     and margin as lists of B Python bools, ints and floats, and a dict from
     row index to the ValueError of each row that has no verdict (its
     column entries then mean nothing).  A row that from_bloch or
-    trace_invariants would reject is judged by check_state_bloch, and a
-    matrix that to_bloch would reject by check_state_bloch(to_bloch(rho));
+    trace_invariants would reject, or whose S_k leave float64, is judged
+    by check_state_bloch, and a matrix that to_bloch would reject by
+    check_state_bloch(to_bloch(rho));
     their fields are written into the columns.  A matrix stack with N < 2
     raises.
     """
     matrices = stack.ndim == 3
     if matrices and N < 2:
         raise ValueError("need N >= 2")
-    # A row whose S_k overflow is judged by its values, as check_state_bloch
-    # judges it, but without a RuntimeWarning; one whose powers overflow is
-    # flagged by the mask of _power_traces and refused by check_state_bloch.
+    # the rows that check_state_bloch refuses may overflow on the way; the
+    # stacked pass flags them without a RuntimeWarning
     with np.errstate(all="ignore"):
         xis = _bloch_projection(stack, N) if matrices else stack
         tk, refused = _power_traces(_bloch_map(xis, N), N)
@@ -403,7 +417,8 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
         is_state = (margin >= -tol).tolist()
         rank = _rank_from_ratios_stack(S, T, tol).tolist()
         margin = margin.tolist()
-        rejected = refused.any(axis=0) | ~np.isfinite(xis).all(axis=1)
+        # a non-finite xi makes its t_k, and so its S_k, non-finite too
+        rejected = refused.any(axis=0) | ~np.isfinite(S).all(axis=1)
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
         if matrices:
             tr = np.trace(stack, axis1=1, axis2=2)
@@ -421,10 +436,10 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     return is_state, rank, margin, errors
 
 
-def _verdicts(N: int, tol: float, is_state: list, rank: list, margin: list, errors: dict) -> list:
+def _verdicts(N: int, is_state: list, rank: list, margin: list, errors: dict) -> list:
     """_stack_columns' columns as the list of the stack entry points."""
     return [
-        errors[b] if b in errors else StateClassification(s, r, _stratum(s, r, N, m, tol), m)
+        errors[b] if b in errors else StateClassification(s, r, _stratum(s, r, N), m)
         for b, (s, r, m) in enumerate(zip(is_state, rank, margin))
     ]
 
@@ -437,15 +452,15 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that
     check_state_bloch rejects, the ValueError it raises.  A row that
-    from_bloch or trace_invariants would reject is judged by
-    check_state_bloch itself.  One bad row does not stop the others.  An
-    array that is not (B, N^2 - 1) raises.
+    from_bloch or trace_invariants would reject, or whose S_k leave
+    float64, is judged by check_state_bloch itself.  One bad row does not
+    stop the others.  An array that is not (B, N^2 - 1) raises.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2:
         raise ValueError(f"expected a (B, N^2 - 1) array of Bloch vectors, got shape {xis.shape}")
     N = dim_from_bloch(xis.shape[1])
-    return _verdicts(N, tol, *_stack_columns(xis, N, tol))
+    return _verdicts(N, *_stack_columns(xis, N, tol))
 
 
 def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
@@ -459,7 +474,7 @@ def check_states(rhos: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     N = rhos.shape[-1]
-    return _verdicts(N, tol, *_stack_columns(rhos, N, tol))
+    return _verdicts(N, *_stack_columns(rhos, N, tol))
 
 
 def uniform_simplex(N: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,8 @@ from hypothesis import strategies as hst
 import quditorbits.cli as cli
 from quditorbits.cli import run
 from quditorbits.orbit_space import ANGLE_CONVENTION
-from quditorbits.state_space import check_state_bloch, sample_states, to_bloch
+from quditorbits.state_space import bloch_scale, check_state_bloch, sample_states, to_bloch
+from quditorbits.su_algebra import gell_mann_basis
 
 
 def invoke(capsys, *argv):
@@ -22,12 +23,13 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_check_maximally_mixed(capsys):
-    code, out, _ = invoke(capsys, "check", "--N", "3", "--xi", ",".join(["0"] * 8))
+@pytest.mark.parametrize("N", [3, 10])
+def test_check_maximally_mixed(capsys, N):
+    code, out, _ = invoke(capsys, "check", "--N", str(N), "--xi", ",".join(["0"] * (N * N - 1)))
     assert code == 0
     record = json.loads(out)
     assert record["is_state"] is True
-    assert record["rank"] == 3
+    assert record["rank"] == N
     assert record["stratum"] == "interior"
 
 
@@ -236,7 +238,33 @@ def test_check_huge_record_is_refused_like_single_shot_without_warning(capsys, m
     assert single == (1, "", "error: " + message)
 
 
-_EDGE_MARGINS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1]
+def _s4_overflow_xi() -> list:
+    """The Bloch vector of diag(a, -a, a, -a), a^4 = 2.5e307: its t_k are
+    finite (t_4 = 1e308), but S_2 t_2 = -8 a^4 overflows in S_4."""
+    a = 2.5e307**0.25
+    lam = gell_mann_basis(4).elements
+    return (np.einsum("ijj,j->i", lam, [a, -a, a, -a]).real / (2 * bloch_scale(4))).tolist()
+
+
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        (_s4_overflow_xi(), "characteristic coefficient S_4 leaves the float64 range"),
+        ([0, 0, 1.7e308, 0, 0, 0, 0, 1.7e308], "the matrix of the Bloch vector leaves the float64 range"),
+    ],
+)
+def test_check_refuses_a_record_that_leaves_float64(capsys, monkeypatch, xi, message):
+    # refused alike in batch, by --xi and by invariants, and under the
+    # suite's error::RuntimeWarning, without one
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"xi": xi}) + "\n"))
+    assert invoke(capsys, "check") == (1, "", f"line 1: {message}\n")
+    csv = ",".join(repr(float(x)) for x in xi)
+    assert invoke(capsys, "check", "--xi", csv) == (1, "", f"error: {message}\n")
+    assert invoke(capsys, "invariants", "--xi", csv) == (1, "", f"error: {message}\n")
+
+
+# a verdict's margin is finite: S_k that leave float64 are refused
+_EDGE_MARGINS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 1.7976931348623157e308]
 
 
 @pytest.mark.parametrize("is_state", [True, False])
@@ -244,7 +272,7 @@ _EDGE_MARGINS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16
     "stratum", [None, "pure", "interior", "boundary-rank-2", "boundary-rank-12"]
 )
 @settings(max_examples=60, deadline=None)
-@given(margin=hst.floats(), rank=hst.integers(0, 64))
+@given(margin=hst.floats(allow_nan=False, allow_infinity=False), rank=hst.integers(0, 64))
 def test_verdict_line_is_json_dumps(is_state, stratum, margin, rank):
     for m in [margin, *_EDGE_MARGINS]:
         fields = {"is_state": is_state, "rank": rank, "stratum": stratum, "margin": m}

@@ -1,8 +1,10 @@
 """Tests for Bloch embedding, the Jacobi eigensolver, state checks and
 samplers."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,15 @@ def test_from_bloch_names_a_non_finite_component():
         with pytest.raises(ValueError, match=f"xi_6 = {name} is not finite"):
             check_state_bloch(xi)
     from_bloch(np.full(8, 1e300))  # finite, however large
+    # but a finite xi whose matrix overflows is refused, on every path, and
+    # without a RuntimeWarning: rho_11 = 1/3 + (xi_3 + xi_8 / sqrt 3) / sqrt 3
+    xi = np.zeros(8)
+    xi[2] = xi[7] = 1.7e308
+    message = "the matrix of the Bloch vector leaves the float64 range"
+    for check in (from_bloch, check_state_bloch):
+        with pytest.raises(ValueError, match=message):
+            check(xi)
+    assert str(check_states_bloch(xi[np.newaxis])[0]) == message
 
 
 def test_jacobi_qubit_closed_form():
@@ -227,13 +238,47 @@ def test_eig_oracle_sorted_descending():
 
 
 def test_check_maximally_mixed():
-    for N in (2, 3, 4):
-        v = check_state_bloch(np.zeros(N * N - 1))
-        assert v.is_state
-        assert v.rank == N
-        assert v.stratum == "interior"
-        # margin is the smallest coefficient S_N = det(I/N) = N^-N
-        assert v.margin == pytest.approx(float(N) ** (-N), rel=1e-9)
+    # I/N is interior on every route and at every N: the stratum reads the
+    # rank alone, not the margin, which falls below POSITIVITY_TOL at N = 10
+    for N in range(2, 13):
+        centre = np.eye(N, dtype=complex) / N
+        verdicts = [
+            check_state_bloch(np.zeros(N * N - 1)),
+            check_states(centre[np.newaxis])[0],
+            check_state_traces(trace_invariants(centre)),
+        ]
+        for v in verdicts:
+            assert (v.is_state, v.rank, v.stratum) == (True, N, "interior"), (N, v)
+            # margin is the smallest coefficient S_N = det(I/N) = N^-N
+            assert v.margin == pytest.approx(float(N) ** (-N), rel=1e-9)
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_full_rank_states_are_interior(N):
+    states = sample_states(N, 50, seed=800 + N)
+    full_rank = states[np.linalg.eigvalsh(states)[:, 0] > 1e-6]
+    assert len(full_rank) > 0
+    for rho, stacked in zip(full_rank, check_states(full_rank)):
+        for v in (check_state_bloch(to_bloch(rho)), stacked, check_state_traces(trace_invariants(rho))):
+            assert v.stratum == "interior", (N, v)
+
+
+def test_no_verdict_reads_boundary_rank_n():
+    # a rank-N state is interior, whatever its margin: on the benchmark's
+    # route corpus no route labels one boundary-rank-N
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for N, (matrices, _) in inputs.route_corpus(0, (2, 3, 5, 8), 250).items():
+        verdicts = check_states(matrices) + [
+            v
+            for rho in matrices
+            for v in (check_state_bloch(to_bloch(rho)), check_state_traces(trace_invariants(rho)))
+        ]
+        assert all(isinstance(v, StateClassification) for v in verdicts)
+        assert f"boundary-rank-{N}" not in {v.stratum for v in verdicts}
 
 
 def test_check_pure_state():
@@ -255,14 +300,30 @@ def test_check_outside_ball():
 
 
 def test_check_traces_route_agrees():
-    for N in (2, 3, 4, 5):
+    for N in range(2, 9):
         for rho in sample_states(N, 50, seed=400 + N):
-            xi = to_bloch(rho)
-            t = trace_invariants(rho)
-            vb = check_state_bloch(xi)
-            vt = check_state_traces(t)
-            assert vb.is_state == vt.is_state
-            assert vb.rank == vt.rank
+            vb = check_state_bloch(to_bloch(rho))
+            vt = check_state_traces(trace_invariants(rho))
+            assert (vb.is_state, vb.rank, vb.stratum) == (vt.is_state, vt.rank, vt.stratum)
+
+
+def test_characteristic_coefficients_leaving_float64_are_refused():
+    # diag(a, -a, a, -a) + I/4 with a^4 = 2.5e307: every t_k is finite
+    # (t_4 = 4 a^4 = 1e308), but S_2 t_2 = -8 a^4 overflows in S_4.  Each
+    # route refuses it with one message, and without a RuntimeWarning.
+    a = 2.5e307**0.25
+    xi = state_space._bloch_projection(np.diag([a, -a, a, -a]).astype(complex), 4)
+    t = TraceInvariants(dim=4, values=[1.0, 4 * a**2, 3 * a**2, 4 * a**4])
+    assert np.isfinite(trace_invariants(from_bloch(xi)).values).all()
+    message = "characteristic coefficient S_4 leaves the float64 range"
+    for check in (
+        lambda: check_state_bloch(xi),
+        lambda: check_state_traces(t),
+        lambda: char_coefficients(t),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check()
+    assert str(check_states_bloch(xi[np.newaxis])[0]) == message
 
 
 def test_checks_reach_no_eigensolver(monkeypatch):
@@ -331,15 +392,13 @@ def _route_style_corpus(N, count, rng):
 def _same_verdict(a, b):
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
-    margins_equal = a.margin == b.margin or (math.isnan(a.margin) and math.isnan(b.margin))
-    return (a.is_state, a.rank, a.stratum) == (b.is_state, b.rank, b.stratum) and margins_equal
+    # margins are finite: S_k that leave float64 are refused on both paths
+    return (a.is_state, a.rank, a.stratum, a.margin) == (b.is_state, b.rank, b.stratum, b.margin)
 
 
 def _scalar(check, *args):
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the scalar path may warn on 1e300
-            return check(*args)
+        return check(*args)
     except ValueError as exc:
         return exc
 

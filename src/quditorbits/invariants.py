@@ -6,13 +6,9 @@ Bezoutian matrix B_ij = t_{i+j-2} whose determinant is the spectral
 discriminant, and the Casimir invariants built from the adjoint vector
 with the symmetric vee product.
 
-A trace tuple (TraceInvariants) holds its values read-only and forms its
-S_k, its Newton extension through t_{2N-2}, its Bezoutian, its
-discriminant and the trace route's Cholesky test of the Bezoutian at most
-once, on first use; char_coefficients, newton_extend, bezoutian and
-discriminant hand these out read-only, so a caller that asks for the same
-invariant twice, as the trace route's check followed by discriminant does
-for S and B, pays for it once.
+A trace tuple (TraceInvariants) forms each derived invariant at most
+once, so a caller that asks for one twice, as the trace route's check
+followed by discriminant does for S and B, pays for it once.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -45,7 +41,7 @@ HERMITIAN_TOL = 1e-10
 # trace pipeline; 1e-13 sits on that boundary.
 BEZOUTIAN_RANK_CUTOFF = 1e-13
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +79,13 @@ class TraceInvariants:
 
     @cached_property
     def _S(self) -> np.ndarray:
-        S = _newton_coefficients(self.values[: self.dim])
-        # each S_k enters S_{k+1} as S_k t_1, so S_N is finite only if all are
+        t = self.values[: self.dim]
+        S = _newton_coefficients(t)
+        # S_N is finite only if every t_k and S_k is (S_k enters S_{k+1} as S_k t_1)
         if not math.isfinite(S[-1]):
+            if not np.isfinite(t).all():
+                k = int(np.isfinite(t).argmin())
+                raise ValueError(f"trace t_{k + 1} = {t[k]} is not finite")
             k = int(np.isfinite(S).argmin()) + 1
             raise ValueError(f"characteristic coefficient S_{k} leaves the float64 range")
         S.flags.writeable = False
@@ -227,34 +227,46 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
 
     k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
     the k-th elementary symmetric polynomial of the eigenvalues.  Formed
-    once per tuple; the array is read-only.  An S_k that leaves the
-    float64 range raises, naming the lowest such k.
+    once per tuple; the array is read-only.  A NaN or infinite t_k, or
+    else an S_k that leaves float64, raises, naming the lowest such k.
     """
     if t.order < t.dim:
         raise ValueError(f"need t_1..t_{t.dim} to form S_1..S_{t.dim}, have order {t.order}")
     return t._S
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _newton_coefficients(T: np.ndarray) -> np.ndarray:
     """S_1..S_N from t_1..t_N by the Newton recursion, over the leading
     axes of a (..., N) array: the one recursion behind char_coefficients
     and check_states_bloch.  An S_k that leaves float64 (S_2 t_2 may
     overflow while every t_k is finite) comes out inf or NaN without a
-    RuntimeWarning, for its caller to refuse.
+    RuntimeWarning, for its caller to refuse.  One tuple runs _newton on
+    Python floats, a stack on its columns: a row's S is its tuple's, bit
+    for bit, on any layout."""
+    if T.ndim == 1:
+        return np.array(_newton(T.tolist()))  # float arithmetic never warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack(_newton(list(np.moveaxis(T, -1, 0))), axis=-1)
 
-    S is kept reversed, rev[..., N - j] = S_j with S_0 = 1, so that the
-    S_{k-1}..S_0 of each step are a forward slice of a row, and T is made
-    C-ordered first.  np.vecdot then reads only unit-stride rows; on
-    strided ones it rounds differently, and a row's S would depend on the
-    layout of the array it sits in.
-    """
-    N = T.shape[-1]
-    signed_t = np.ascontiguousarray(T) * (-1.0) ** np.arange(N)
-    rev = np.ones(T.shape[:-1] + (N + 1,))
-    for k in range(1, N + 1):
-        rev[..., N - k] = np.vecdot(rev[..., N - k + 1 :], signed_t[..., :k]) / k
-    return rev[..., N - 1 :: -1]
+
+def _newton(t: list) -> list:
+    """k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1, on a list
+    t_1..t_N of Python floats or of the equal-shape columns of a stack."""
+    signed = [x if i % 2 == 0 else -x for i, x in enumerate(t)]
+    S = [1.0]
+    for k in range(1, len(t) + 1):
+        S.append(_backward_dot(S, signed, k - 1, k) / k)
+    return S[1:]
+
+
+def _backward_dot(a: list, b: list, top: int, n: int):
+    """sum_{j<n} b[j] a[top - j]: plain multiplies and adds, never fused as a
+    BLAS dot may, in order of j from the first product (so a signed zero
+    survives), which round alike on Python floats and stack columns."""
+    acc = b[0] * a[top]
+    for j in range(1, n):
+        acc = acc + b[j] * a[top - j]
+    return acc
 
 
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
@@ -279,12 +291,11 @@ def _extend(head: np.ndarray, S: np.ndarray, upto: int) -> np.ndarray:
     """t_0..t_upto from t_0..t_m (N <= m < upto) and S_1..S_N, continuing
     the Newton recursion.  Each step reads only the N values before it, so
     stopping and resuming gives the same bits as one run."""
-    N = len(S)
-    signed_S = S * (-1.0) ** np.arange(N)
-    ext = np.concatenate((head, np.empty(upto + 1 - len(head))))
-    for k in range(len(head), upto + 1):
-        ext[k] = np.dot(signed_S, ext[k - 1 : k - N - 1 : -1])
-    return ext
+    signed = [s if i % 2 == 0 else -s for i, s in enumerate(S.tolist())]
+    ext = head.tolist()
+    for k in range(len(ext), upto + 1):
+        ext.append(_backward_dot(ext, signed, k - 1, len(signed)))
+    return np.array(ext)
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:

@@ -23,23 +23,23 @@ off an infinite or NaN coefficient.
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
-of matrices).  Both are thin adaptors over one stacked core
-(_stack_columns), which runs the single route's own kernels over a
-leading axis (the Bloch map and its projection, the power traces and the
-Newton recursion) and returns the verdicts as columns: is_state, rank and
-margin, plus the ValueError of each row that has one.  So each verdict
-equals check_state_bloch's bit for bit; only the rank rule has a stacked
-twin, and the stratum is read off the columns by the one rule
-(_stratum) that the single routes use too.  The core makes no per-row
-input check of its own: it only flags the rows that from_bloch, to_bloch
-or trace_invariants would reject, and hands each flagged row to the
-single-input route, which returns its verdict or raises its ValueError.
-So each check, its message and its order live in one place; every matrix
-input meets the one Hermiticity gate of invariants,
-max |rho - rho^dag| <= HERMITIAN_TOL.  The path is chosen by the shape of
-the input, not by an option: a one-row stack measured about 1.5-2x the
-time of a single check_state_bloch call at N = 2..8, while a 400-row
-stack costs about a tenth of the single calls per row.  So single inputs,
+of matrices), thin adaptors over one stacked core (_stack_columns).  It
+runs the single route's own kernels over a leading axis (the Bloch map
+and its projection, the power traces and the Newton recursion), then the
+rank rule's stacked twin, and returns the verdicts as columns: is_state,
+rank and margin, plus the ValueError of each row that has one.  The
+recursion and the rank rule make only elementwise IEEE multiplies and
+adds, in one order, on Python floats for one input and on columns for a
+stack, so each verdict equals check_state_bloch's bit for bit on any
+numpy build.  The core makes no per-row input check of its own: it flags
+the rows that from_bloch, to_bloch or trace_invariants would reject and
+hands each to the single-input route, which returns its verdict or
+raises its ValueError; so each check, its message and its order live in
+one place, and every matrix meets the one Hermiticity gate of
+invariants, max |rho - rho^dag| <= HERMITIAN_TOL.  The path follows the
+shape of the input, not an option: a one-row stack took about 2-3x the
+time of one check_state_bloch call at N = 2..8, and a 400-row stack
+about a tenth of the single calls per row.  So single inputs,
 `quditorbits check --xi` among them, keep the single route, and batch
 `quditorbits check` hands each group of records of one kind and one N to
 the core and formats its output lines from the columns.
@@ -65,6 +65,7 @@ from .invariants import (
     _EPS,
     HERMITIAN_TOL,
     TraceInvariants,
+    _backward_dot,
     _hermitian_defect,
     _newton_coefficients,
     _power_traces,
@@ -289,38 +290,26 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
     below it is rounding noise, which would otherwise decide the rank.
     A negative S_{k+1} also ends the count, so for a matrix that is not
     a state the number is a reading of the S_k, not its matrix rank.
-    It keeps a stacked twin because over leading axes it loses its early
-    exit: one tuple then took 4 -> 14 us at N = 2 and 7 -> 35 us at N = 8.
     """
-    N = len(S)
-    # |S_j| reversed, rev[N - j] = |S_j| with S_0 = 1, so that |S_k|..|S_0|
-    # is the forward slice rev[N - k:]
-    rev = np.ones(N + 1)
-    np.abs(S[::-1], out=rev[:N])
-    tv = np.abs(t.values)
-    for k in range(1, N):
-        noise = _EPS * float(np.dot(rev[N - k :], tv[: k + 1]))
-        if S[k] <= tol * S[k - 1] + noise:
+    s = S.tolist()
+    absS = [1.0] + [abs(x) for x in s]  # |S_0| .. |S_N|
+    abst = [abs(x) for x in t.values[: len(s)].tolist()]
+    for k in range(1, len(s)):
+        if s[k] <= tol * s[k - 1] + _EPS * _backward_dot(absS, abst, k, k + 1):
             return k
-    return N
+    return len(s)
 
 
 def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndarray:
-    """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k.
-
-    |S_j| is kept reversed, rev[:, N - j] = |S_j|, and |t_k| is made
-    C-ordered, so each noise term is np.vecdot over forward, unit-stride
-    row slices, which rounds as the np.dot of the single-tuple rule (on a
-    strided row it does not), whatever the layout of S and T.
-    """
+    """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k by its
+    operations on columns, with no early exit: each rank is the single rule's."""
     B, N = S.shape
-    rev = np.ones((B, N + 1))
-    np.abs(S[:, ::-1], out=rev[:, :N])
-    tv = np.abs(np.ascontiguousarray(T))
+    absS = [1.0] + list(np.abs(S).T)
+    abst = list(np.abs(T).T)
     rank = np.full(B, N)
     undecided = np.ones(B, dtype=bool)
     for k in range(1, N):
-        noise = _EPS * np.vecdot(rev[:, N - k :], tv[:, : k + 1])
+        noise = _EPS * _backward_dot(absS, abst, k, k + 1)
         hit = undecided & (S[:, k] <= tol * S[:, k - 1] + noise)
         rank[hit] = k
         undecided &= ~hit

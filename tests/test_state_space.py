@@ -3,7 +3,9 @@ samplers."""
 
 import importlib.util
 import math
+import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +328,21 @@ def test_characteristic_coefficients_leaving_float64_are_refused():
     assert str(check_states_bloch(xi[np.newaxis])[0]) == message
 
 
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_non_finite_trace_is_named_not_a_coefficient(N):
+    # S_k is NaN or infinite because t_k is, though nothing left the float64
+    # range: each entry point names the lowest non-finite t_k.  discriminant
+    # forms S, and so screens t, from N = 3 on, where B reads past t_N.
+    for value in (np.nan, np.inf, -np.inf):
+        for k in range(1, N + 1):
+            values = [1.0, 0.4, 0.1, 0.03, 0.01][:N]
+            values[k - 1 :] = [value] + [-value] * (N - k)
+            message = re.escape(f"t_{k} = {value}")
+            for check in (check_state_traces, char_coefficients, discriminant):
+                with pytest.raises(ValueError, match=message):
+                    check(TraceInvariants(dim=N, values=values))
+
+
 def test_checks_reach_no_eigensolver(monkeypatch):
     matrices = [rho for N in (2, 3, 5) for rho in sample_states(N, 5, seed=600 + N)]
     matrices.append(np.diag([0.5, 0.5, 0.0]).astype(complex))
@@ -343,6 +360,66 @@ def test_checks_reach_no_eigensolver(monkeypatch):
         state_space.check_state_traces(trace_invariants(rho))
     for N in (2, 3, 5):
         state_space.check_states(np.array([rho for rho in matrices if len(rho) == N]))
+
+
+def test_no_verdict_reaches_a_blas_dot(monkeypatch):
+    # S_k, the Newton extension and the rank rule are plain multiplies and
+    # adds: a BLAS dot may fuse them, and the single and stacked paths
+    # would then round apart
+    corpora = {N: _route_style_corpus(N, 8, np.random.default_rng(1200 + N)) for N in range(2, 9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS dot was called")
+
+    monkeypatch.setattr(np, "vecdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    for N, matrices in corpora.items():
+        xis = np.array([to_bloch(rho) for rho in matrices])
+        for rho, xi in zip(matrices, xis):
+            check_state_bloch(xi)
+            t = trace_invariants(rho)
+            check_state_traces(t)
+            newton_extend(t, 3 * N)
+        check_states(matrices)
+        check_states_bloch(xis)
+
+
+@pytest.mark.parametrize("N", range(2, 25))
+def test_newton_recursion_is_within_its_rounding_of_exact_arithmetic(N):
+    # the same recursion in rational arithmetic on the same float t_k: each
+    # float S_k lies within eps k sum_i |S_{k-i} t_i| of the exact one
+    rng = np.random.default_rng(1300 + N)
+    haar = sample_states(N, 4, seed=1300 + N)
+    matrices = np.concatenate([haar, _route_style_corpus(N, 8, rng)])
+    eps = Fraction(np.finfo(float).eps)
+    for rho in matrices:
+        traces = trace_invariants(rho)
+        t = [Fraction(x) for x in traces.values.tolist()]
+        S = [Fraction(1)] + [Fraction(x) for x in char_coefficients(traces).tolist()]
+        exact = [Fraction(1)]
+        for k in range(1, N + 1):
+            terms = [(-1) ** (i - 1) * exact[k - i] * t[i - 1] for i in range(1, k + 1)]
+            exact.append(sum(terms) / k)
+            bound = eps * k * sum(abs(S[k - i] * t[i - 1]) for i in range(1, k + 1))
+            assert abs(S[k] - exact[k]) <= bound, (N, k, float(S[k]), float(exact[k]))
+
+
+def test_zero_coefficients_keep_their_sign_bit_on_both_paths():
+    # the single and stacked recursions start each sum from its first
+    # product, so an S_k of -0.0 or +0.0 keeps its sign on both
+    zeros = [-0.0, 0.0, 1.0, -1.0]
+    T = np.array([[a, b, c] for a in zeros for b in zeros for c in zeros])
+    S = _newton_coefficients(T)
+    assert np.signbit(S[S == 0]).any() and not np.signbit(S[S == 0]).all()
+    for row, S_row in zip(T, S):
+        assert char_coefficients(TraceInvariants(dim=3, values=row)).tobytes() == S_row.tobytes()
+    # the qubit poles are pure, S_2 = 0: margins of exactly zero
+    mixed = [to_bloch(rho) for rho in sample_states(2, 4, seed=5)]
+    xis = np.vstack([np.eye(3), -np.eye(3), -0.0 * np.eye(3), mixed])
+    margins = [check_state_bloch(xi).margin for xi in xis]
+    assert margins.count(0.0) >= 6
+    stacked = [v.margin for v in check_states_bloch(xis)]
+    assert np.array(margins).tobytes() == np.array(stacked).tobytes()
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -474,9 +551,9 @@ def test_stacked_check_equals_scalar_check(N):
 
 @pytest.mark.parametrize("N", (2, 5, 8, 12))
 def test_stacked_kernels_ignore_input_layout(N):
-    # np.vecdot rounds differently on strided rows, so the Newton kernel and
-    # the stacked rank rule must make their rows unit-stride themselves: a
-    # row's result may not depend on the layout of the array it sits in.
+    # The Newton kernel and the stacked rank rule make only elementwise IEEE
+    # multiplies and adds, which round alike on any stride, so a row's
+    # result may not depend on the layout of the array it sits in.
     matrices = _route_style_corpus(N, 200, np.random.default_rng(1000 + N))
     T = np.array([trace_invariants(rho).values for rho in matrices])
     S = np.array([_newton_coefficients(row) for row in T])

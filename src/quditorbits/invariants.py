@@ -50,12 +50,13 @@ class TraceInvariants:
 
     values[k-1] holds t_k; t_0 = N by convention.  values is the tuple's
     own read-only float64 copy of what it was built from (an array, a
-    tuple or a list), so the tuple never changes.  That makes its derived
-    invariants safe to keep: S_1..S_N, the Newton extension through
-    t_{2N-2}, the Bezoutian and its determinant are each formed at most
-    once per tuple, on first use by char_coefficients, newton_extend,
-    bezoutian or discriminant, and handed out read-only; so is the trace
-    route's test that B is positive semidefinite.
+    tuple or a list), so the tuple never changes; a NaN or infinite value
+    is refused when the tuple is built, naming the lowest such t_k.  That
+    makes its derived invariants safe to keep: S_1..S_N, the Newton
+    extension through t_{2N-2}, the Bezoutian and its determinant are each
+    formed at most once per tuple, on first use by char_coefficients,
+    newton_extend, bezoutian or discriminant, and handed out read-only; so
+    is the trace route's test that B is positive semidefinite.
     """
 
     dim: int
@@ -63,6 +64,9 @@ class TraceInvariants:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
+        if not all(map(math.isfinite, values.tolist())):
+            k = int(np.isfinite(values).argmin())
+            raise ValueError(f"trace t_{k + 1} = {values[k]} is not finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -79,13 +83,9 @@ class TraceInvariants:
 
     @cached_property
     def _S(self) -> np.ndarray:
-        t = self.values[: self.dim]
-        S = _newton_coefficients(t)
-        # S_N is finite only if every t_k and S_k is (S_k enters S_{k+1} as S_k t_1)
+        S = _newton_coefficients(self.values[: self.dim])
+        # S_N is finite only if every S_k is (S_k enters S_{k+1} as S_k t_1)
         if not math.isfinite(S[-1]):
-            if not np.isfinite(t).all():
-                k = int(np.isfinite(t).argmin())
-                raise ValueError(f"trace t_{k + 1} = {t[k]} is not finite")
             k = int(np.isfinite(S).argmin()) + 1
             raise ValueError(f"characteristic coefficient S_{k} leaves the float64 range")
         S.flags.writeable = False
@@ -227,8 +227,8 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
 
     k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
     the k-th elementary symmetric polynomial of the eigenvalues.  Formed
-    once per tuple; the array is read-only.  A NaN or infinite t_k, or
-    else an S_k that leaves float64, raises, naming the lowest such k.
+    once per tuple; the array is read-only.  An S_k that leaves float64
+    raises, naming the lowest such k (the tuple holds no non-finite t_k).
     """
     if t.order < t.dim:
         raise ValueError(f"need t_1..t_{t.dim} to form S_1..S_{t.dim}, have order {t.order}")
@@ -275,16 +275,16 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     t_k = S_1 t_{k-1} - S_2 t_{k-2} + ... -(-1)^N S_N t_{k-N} for k > N.
     Returns the input unchanged when it already reaches `upto`.  The
     extension through t_{2N-2} is the one the Bezoutian reads, formed once
-    per tuple; the new tuple shares the input's S.
+    per tuple; the new tuple forms its own S on first use, from the same
+    t_1..t_N and so with the same bits.  An extension that leaves float64
+    raises, naming the lowest such t_k, as any tuple does.
     """
     if upto <= t.order:
         return t
     ext = t._power_sums
     if upto >= len(ext):
         ext = _extend(ext, char_coefficients(t), upto)
-    extended = TraceInvariants(dim=t.dim, values=ext[1 : upto + 1])
-    extended.__dict__["_S"] = char_coefficients(t)  # the same t_1..t_N
-    return extended
+    return TraceInvariants(dim=t.dim, values=ext[1 : upto + 1])
 
 
 def _extend(head: np.ndarray, S: np.ndarray, upto: int) -> np.ndarray:

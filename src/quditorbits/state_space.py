@@ -13,20 +13,20 @@ along two routes that must agree, neither of which diagonalizes anything:
 
 Both are thin front ends on one classification core (_classify), which
 takes S_k >= 0 (and, on the trace route, B >= 0) to a verdict and reads
-the rank off the S_k by one rule (_rank_from_ratios).  The stratum is a
-function of the verdict and the rank alone (_stratum), as the paper
-stratifies the state space by rank: "pure" at rank 1, "interior" at full
-rank and "boundary-rank-k" in between; no margin enters it, and
-orbit_space.rank_strata labels by the same rule.  S_k that leave the
-float64 range are refused, naming the lowest k, so no verdict is read
-off an infinite or NaN coefficient.
+the rank off the S_k, each by one rule (_s_test, _rank_from_ratios).  The
+stratum is a function of the verdict and the rank alone (_stratum), as
+the paper stratifies the state space by rank: "pure" at rank 1,
+"interior" at full rank and "boundary-rank-k" in between; no margin
+enters it, and orbit_space.rank_strata labels by the same rule.  S_k
+that leave the float64 range are refused, naming the lowest k, so no
+verdict is read off an infinite or NaN coefficient.
 
 Many inputs at once go through the stack entry points check_states_bloch
 (a (B, N^2 - 1) array of Bloch rows) and check_states (a (B, N, N) stack
 of matrices), thin adaptors over one stacked core (_stack_columns).  It
 runs the single route's own kernels over a leading axis (the Bloch map
-and its projection, the power traces and the Newton recursion), then the
-rank rule's stacked twin, and returns the verdicts as columns: is_state,
+and its projection, the power traces, the Newton recursion, and the S_k
+test with the rank rule) and returns the verdicts as columns: is_state,
 rank and margin, plus the ValueError of each row that has one.  The
 recursion and the rank rule make only elementwise IEEE multiplies and
 adds, in one order, on Python floats for one input and on columns for a
@@ -276,7 +276,7 @@ def eig_oracle(rho: np.ndarray) -> np.ndarray:
     return np.sort(w)[::-1]
 
 
-def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
+def _rank_from_ratios(S: list, t: list, tol: float):
     """Rank read off S_1..S_N without eigenvalues: the first k with
     S_{k+1} <= tol S_k + noise_{k+1}, or N when there is none.
 
@@ -290,30 +290,28 @@ def _rank_from_ratios(S: np.ndarray, t: TraceInvariants, tol: float) -> int:
     below it is rounding noise, which would otherwise decide the rank.
     A negative S_{k+1} also ends the count, so for a matrix that is not
     a state the number is a reading of the S_k, not its matrix rank.
+
+    S and t are lists of S_1..S_N and t_1..t_N, of floats for one tuple or
+    of a stack's columns; the running AND `alive` ends each row's count.
     """
-    s = S.tolist()
-    absS = [1.0] + [abs(x) for x in s]  # |S_0| .. |S_N|
-    abst = [abs(x) for x in t.values[: len(s)].tolist()]
-    for k in range(1, len(s)):
-        if s[k] <= tol * s[k - 1] + _EPS * _backward_dot(absS, abst, k, k + 1):
-            return k
-    return len(s)
-
-
-def _rank_from_ratios_stack(S: np.ndarray, T: np.ndarray, tol: float) -> np.ndarray:
-    """_rank_from_ratios for every row of (B, N) arrays of S_k and t_k by its
-    operations on columns, with no early exit: each rank is the single rule's."""
-    B, N = S.shape
-    absS = [1.0] + list(np.abs(S).T)
-    abst = list(np.abs(T).T)
-    rank = np.full(B, N)
-    undecided = np.ones(B, dtype=bool)
-    for k in range(1, N):
-        noise = _EPS * _backward_dot(absS, abst, k, k + 1)
-        hit = undecided & (S[:, k] <= tol * S[:, k - 1] + noise)
-        rank[hit] = k
-        undecided &= ~hit
+    absS = [1.0, *map(abs, S)]  # |S_0| .. |S_N|
+    abst = [*map(abs, t)]
+    rank, alive = 1, True
+    for k in range(1, len(S)):
+        alive = alive & (S[k] > tol * S[k - 1] + _EPS * _backward_dot(absS, abst, k, k + 1))
+        if alive is False:
+            break
+        rank = rank + alive
     return rank
+
+
+def _s_test(S: np.ndarray, T: np.ndarray, tol: float) -> tuple:
+    """The S_k test min_k S_k >= -tol and _rank_from_ratios' rank, for (N,)
+    or (B, N) arrays of S_1..S_N and t_1..t_N: (passes, rank, margin), the
+    margin being the smallest S_k.  The rank rule runs on floats or columns."""
+    margin = S.min(axis=-1)
+    lanes = (S.tolist(), T.tolist()) if S.ndim == 1 else (list(S.T), list(T.T))
+    return margin >= -tol, _rank_from_ratios(*lanes, tol), margin
 
 
 def _stratum(is_state: bool, rank: int, N: int) -> str | None:
@@ -335,14 +333,13 @@ def _classify(
     """The classification core behind both routes, from the traces t and
     their characteristic coefficients S.
 
-    A state needs S_k >= -tol for every k and, with certify (the trace
-    route), a positive semidefinite Bezoutian, tested only once the S_k
-    pass.  The rank comes from the S_k by _rank_from_ratios.
+    A state passes the S_k test of _s_test, which also reads the rank, and,
+    with certify (the trace route), has a positive semidefinite Bezoutian,
+    tested only once the S_k pass.
     """
-    margin = float(S.min())
-    is_state = bool(margin >= -tol) and (not certify or t._bezoutian_psd)
-    rank = _rank_from_ratios(S, t, tol)
-    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim), margin)
+    passes, rank, margin = _s_test(S, t.values[: t.dim], tol)
+    is_state = bool(passes) and (not certify or t._bezoutian_psd)
+    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim), float(margin))
 
 
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
@@ -381,16 +378,15 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     stack is a (B, N^2 - 1) float array of Bloch rows or a (B, N, N)
     complex stack of matrices, of validated shape; the path follows its
     shape.  The single route's kernels run over the leading axis (the
-    projection of the matrices, the Bloch map, the power traces and the
-    Newton recursion), then the stacked rank rule.  Returns is_state, rank
-    and margin as lists of B Python bools, ints and floats, and a dict from
-    row index to the ValueError of each row that has no verdict (its
-    column entries then mean nothing).  A row that from_bloch or
-    trace_invariants would reject, or whose S_k leave float64, is judged
-    by check_state_bloch, and a matrix that to_bloch would reject by
-    check_state_bloch(to_bloch(rho));
-    their fields are written into the columns.  A matrix stack with N < 2
-    raises.
+    projection of the matrices, the Bloch map, the power traces, the
+    Newton recursion and _s_test).  Returns is_state, rank and margin as
+    lists of B Python bools, ints and floats, and a dict from row index to
+    the ValueError of each row that has no verdict (its column entries
+    then mean nothing).  A row that from_bloch or trace_invariants would
+    reject, or whose S_k leave float64, is judged by check_state_bloch,
+    and a matrix that to_bloch would reject by
+    check_state_bloch(to_bloch(rho)); their fields are written into the
+    columns.  A matrix stack with N < 2 raises.
     """
     matrices = stack.ndim == 3
     if matrices and N < 2:
@@ -402,10 +398,7 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
         tk, refused = _power_traces(_bloch_map(xis, N), N)
         T = tk.real.T
         S = _newton_coefficients(T)
-        margin = S.min(axis=1)
-        is_state = (margin >= -tol).tolist()
-        rank = _rank_from_ratios_stack(S, T, tol).tolist()
-        margin = margin.tolist()
+        is_state, rank, margin = (column.tolist() for column in _s_test(S, T, tol))
         # a non-finite xi makes its t_k, and so its S_k, non-finite too
         rejected = refused.any(axis=0) | ~np.isfinite(S).all(axis=1)
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
@@ -435,8 +428,8 @@ def _verdicts(N: int, is_state: list, rank: list, margin: list, errors: dict) ->
 
 def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
     """check_state_bloch for every row of a (B, N^2 - 1) array, in one
-    stacked pass: the Bloch map, power traces and Newton recursion of the
-    single route, run over the leading axis, then the stacked rank rule.
+    stacked pass: the Bloch map, power traces, Newton recursion, S_k test
+    and rank rule of the single route, run over the leading axis.
 
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that

@@ -2,6 +2,7 @@
 machinery and Casimir scalars."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,29 @@ def test_trace_values_are_read_only_copies():
     assert t.t(2) == 0.38
     rho_t = trace_invariants(diag_state(0.5, 0.3, 0.2))
     assert not rho_t.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "N, values, message",
+    [
+        (2, [1.0, np.nan], "trace t_2 = nan is not finite"),
+        (2, [1.0, np.inf], "trace t_2 = inf is not finite"),
+        (3, [1.0, 0.4, 0.1, np.nan], "trace t_4 = nan is not finite"),
+    ],
+)
+def test_non_finite_trace_is_refused_where_the_tuple_is_built(N, values, message):
+    # B reads t_1..t_{2N-2} without forming S when the tuple holds them all:
+    # a non-finite t_k is refused by name, and never reaches det B
+    for invariant in (discriminant, bezoutian, grad_matrix):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            invariant(TraceInvariants(dim=N, values=values))
+
+
+def test_newton_extension_leaving_float64_is_refused():
+    # t_4 = S_1 t_3 - S_2 t_2 overflows, though t_1, t_2 and S are finite
+    t = TraceInvariants(dim=2, values=[1.0, 1e200])
+    with pytest.raises(ValueError, match=re.escape("trace t_4 = inf is not finite")):
+        newton_extend(t, 4)
 
 
 def test_trace_tuple_from_tuple_or_list():

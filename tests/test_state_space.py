@@ -551,13 +551,12 @@ def test_stacked_check_equals_scalar_check(N):
 
 @pytest.mark.parametrize("N", (2, 5, 8, 12))
 def test_stacked_kernels_ignore_input_layout(N):
-    # The Newton kernel and the stacked rank rule make only elementwise IEEE
+    # The Newton kernel and the rank rule make only elementwise IEEE
     # multiplies and adds, which round alike on any stride, so a row's
     # result may not depend on the layout of the array it sits in.
     matrices = _route_style_corpus(N, 200, np.random.default_rng(1000 + N))
     T = np.array([trace_invariants(rho).values for rho in matrices])
     S = np.array([_newton_coefficients(row) for row in T])
-    tuples = [TraceInvariants(dim=N, values=row) for row in T]
 
     def layouts(a):
         return {
@@ -570,8 +569,58 @@ def test_stacked_kernels_ignore_input_layout(N):
     for (name, T_in), S_in in zip(layouts(T).items(), layouts(S).values()):
         assert np.array_equal(_newton_coefficients(T_in), S), name
         for tol in (POSITIVITY_TOL, 0.0, 1e-3):
-            rows = [state_space._rank_from_ratios(s, t, tol) for s, t in zip(S, tuples)]
-            assert state_space._rank_from_ratios_stack(S_in, T_in, tol).tolist() == rows, name
+            # the rule on each tuple's floats and on the stack's columns
+            rule = state_space._rank_from_ratios
+            rows = [rule(s.tolist(), t.tolist(), tol) for s, t in zip(S, T)]
+            assert rule(list(S_in.T), list(T_in.T), tol).tolist() == rows, name
+            assert state_space._s_test(S_in, T_in, tol)[1].tolist() == rows, name
+
+
+def _rank_rule_rows(tol):
+    """(S, t, rank) rows of (N,) arrays of S_1..S_N and t_1..t_N, each with
+    the rank the rule must read: the first k whose S_{k+1} fails, or N."""
+    rows = []
+
+    def spectrum(lam, rank):
+        lam = np.asarray(lam, dtype=float)
+        T = np.array([np.sum(lam**k) for k in range(1, len(lam) + 1)])
+        rows.append((_newton_coefficients(T), T, rank))
+
+    for N in range(2, 13):
+        for r in range(1, N + 1):  # exact rank r, with rounding noise past S_r
+            big = np.arange(1.0, r + 1)
+            spectrum(np.r_[big / big.sum(), np.zeros(N - r)], r)
+        for m in range(1, N):  # one eigenvalue on either side of tol
+            for small, counted in ((0.5 * tol, 0), (2.0 * tol, 1)):
+                lam = np.r_[np.full(m, (1.0 - small) / m), small, np.zeros(N - m - 1)]
+                spectrum(lam, m + counted)
+    # +-0.0 compare equal, so a signed-zero S_{k+1} ends the count
+    for S, T in (
+        ([1.0, 0.0, -0.0], [1.0, 1.0, 1.0]),
+        ([1.0, -0.0, 0.0], [1.0, 1.0, 1.0]),
+        ([0.0, -0.0], [0.0, 0.0]),
+        ([-0.0, 0.0], [-0.0, 0.0]),
+    ):
+        rows.append((np.array(S), np.array(T), 1))
+    # non-states whose count ends at k although a later S_{k+1} passes
+    spectrum([2.0, -0.5, -0.5], 1)  # S_2 < 0 < S_3
+    spectrum([1.0, 0.6, -0.3, -0.3], 1)  # S_2, S_3 < 0 < S_4
+    spectrum([0.6, 0.6, -0.1, -0.1], 2)  # S_3 < 0 < S_4
+    return rows
+
+
+@pytest.mark.parametrize("tol", (POSITIVITY_TOL, 1e-3))
+def test_rank_rule_reads_the_first_failed_k(tol):
+    # the one rank rule, on each row's floats and on the columns of a stack
+    # of the rows of each N, reads the rank each row was built with
+    by_dim = {}
+    for S, T, rank in _rank_rule_rows(tol):
+        assert state_space._rank_from_ratios(S.tolist(), T.tolist(), tol) == rank, (S, T)
+        by_dim.setdefault(len(S), []).append((S, T, rank))
+    for N, rows in by_dim.items():
+        S, T, ranks = (np.array(column) for column in zip(*rows))
+        assert state_space._rank_from_ratios(list(S.T), list(T.T), tol).tolist() == ranks.tolist()
+        assert state_space._s_test(S, T, tol)[1].tolist() == ranks.tolist(), N
 
 
 def test_stacked_check_sizes():
@@ -621,11 +670,14 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         bezoutian(t)
         assert discriminant(t) == disc
         assert (len(recursions), len(determinants)) == (1, 1)
-        # nor does an extension of the tuple, which shares its S
+        # an extension reads its B off its own traces, and forms its S
+        # once, from the same t_1..t_N and so with the same bits
         ext = newton_extend(t, 3 * N)
-        assert char_coefficients(ext) is char_coefficients(t)
         assert discriminant(ext) == disc
         assert len(recursions) == 1
+        assert np.array_equal(char_coefficients(ext), char_coefficients(t))
+        assert char_coefficients(ext) is char_coefficients(ext)
+        assert len(recursions) == 2
     # a tuple whose S_k fail is refused without factorising B: S_2 = -0.25
     factorisations.clear()
     assert not check_state_traces(TraceInvariants(dim=3, values=[1.0, 1.5, 0.5])).is_state

@@ -6,9 +6,9 @@ Bezoutian matrix B_ij = t_{i+j-2} whose determinant is the spectral
 discriminant, and the Casimir invariants built from the adjoint vector
 with the symmetric vee product.
 
-A trace tuple (TraceInvariants) forms each derived invariant at most
-once, so a caller that asks for one twice, as the trace route's check
-followed by discriminant does for S and B, pays for it once.
+A trace tuple (TraceInvariants) forms S, B, det B and the certificate
+at most once, so a caller that asks for one twice, as the trace route's
+check followed by discriminant does for S and B, pays for it once.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -52,11 +52,11 @@ class TraceInvariants:
     own read-only float64 copy of what it was built from (an array, a
     tuple or a list), so the tuple never changes; a NaN or infinite value
     is refused when the tuple is built, naming the lowest such t_k.  That
-    makes its derived invariants safe to keep: S_1..S_N, the Newton
-    extension through t_{2N-2}, the Bezoutian and its determinant are each
-    formed at most once per tuple, on first use by char_coefficients,
-    newton_extend, bezoutian or discriminant, and handed out read-only; so
-    is the trace route's test that B is positive semidefinite.
+    makes its derived invariants safe to keep: S_1..S_N, the Bezoutian
+    (read off newton_extend, a tuple, so finite) and its determinant are
+    each formed at most once per tuple, on first use by char_coefficients,
+    bezoutian or discriminant, and handed out read-only; so is the trace
+    route's test that B is positive semidefinite.
     """
 
     dim: int
@@ -92,38 +92,30 @@ class TraceInvariants:
         return S
 
     @cached_property
-    def _power_sums(self) -> np.ndarray:
-        """t_0..t_m, m = max(order, 2N - 2): the traces, Newton-extended as
-        far as the Bezoutian reads."""
-        head = np.concatenate(([float(self.dim)], self.values))
-        upto = 2 * self.dim - 2
-        ext = head if upto <= self.order else _extend(head, char_coefficients(self), upto)
-        ext.flags.writeable = False
-        return ext
-
-    @cached_property
     def _bezoutian(self) -> np.ndarray:
         i = np.arange(self.dim)
-        B = self._power_sums[np.add.outer(i, i)]
+        ext = newton_extend(self, 2 * self.dim - 2).values
+        B = np.concatenate(([float(self.dim)], ext))[np.add.outer(i, i)]
         B.flags.writeable = False
         return B
 
     @cached_property
     def _disc(self) -> float:
-        return float(np.linalg.det(self._bezoutian))
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = float(np.linalg.det(self._bezoutian))
+        if not math.isfinite(disc):
+            raise ValueError("discriminant leaves the float64 range")
+        return disc
 
     @cached_property
     def _bezoutian_psd(self) -> bool:
         """Procesi-Schwarz: the tuple has a Hermitian matrix iff B is
         positive semidefinite.  Tested without eigenvalues, by a Cholesky
         factorisation of B + delta I, delta = 4 N eps max|B| (about B's
-        rounding); a B with a NaN or infinite entry fails."""
+        rounding); B is finite, as the extension it reads is a tuple."""
         B = self._bezoutian
-        scale = float(np.abs(B).max())
-        if not math.isfinite(scale):
-            return False
         shifted = B.copy()
-        shifted.flat[:: self.dim + 1] += 4.0 * self.dim * _EPS * scale
+        shifted.flat[:: self.dim + 1] += 4.0 * self.dim * _EPS * float(np.abs(B).max())
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -273,35 +265,27 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     """Extend a trace tuple past t_N with the Newton recursion.
 
     t_k = S_1 t_{k-1} - S_2 t_{k-2} + ... -(-1)^N S_N t_{k-N} for k > N.
-    Returns the input unchanged when it already reaches `upto`.  The
-    extension through t_{2N-2} is the one the Bezoutian reads, formed once
-    per tuple; the new tuple forms its own S on first use, from the same
-    t_1..t_N and so with the same bits.  An extension that leaves float64
-    raises, naming the lowest such t_k, as any tuple does.
+    Returns the input unchanged when it already reaches `upto`.  Each call
+    extends from the tuple's own traces and keeps nothing.  Each step reads
+    only the N values before it, and the new tuple forms its own S from
+    the same t_1..t_N, so extending in stages gives the bits of one run.
+    An extension that leaves float64 raises, naming the lowest such t_k,
+    as any tuple does.
     """
     if upto <= t.order:
         return t
-    ext = t._power_sums
-    if upto >= len(ext):
-        ext = _extend(ext, char_coefficients(t), upto)
-    return TraceInvariants(dim=t.dim, values=ext[1 : upto + 1])
-
-
-def _extend(head: np.ndarray, S: np.ndarray, upto: int) -> np.ndarray:
-    """t_0..t_upto from t_0..t_m (N <= m < upto) and S_1..S_N, continuing
-    the Newton recursion.  Each step reads only the N values before it, so
-    stopping and resuming gives the same bits as one run."""
-    signed = [s if i % 2 == 0 else -s for i, s in enumerate(S.tolist())]
-    ext = head.tolist()
+    signed = [s if i % 2 == 0 else -s for i, s in enumerate(char_coefficients(t).tolist())]
+    ext = [float(t.dim), *t.values.tolist()]  # t_0..t_m
     for k in range(len(ext), upto + 1):
-        ext.append(_backward_dot(ext, signed, k - 1, len(signed)))
-    return np.array(ext)
+        ext.append(_backward_dot(ext, signed, k - 1, t.dim))
+    return TraceInvariants(dim=t.dim, values=ext[1:])
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:
     """Bezoutian (Hankel) matrix B_ij = t_{i+j-2}, i, j = 1..N, t_0 = N.
 
-    Formed once per tuple; the array is read-only.
+    Formed once per tuple from newton_extend(t, 2N - 2), which refuses an
+    extension that leaves float64; the array is read-only.
     """
     return t._bezoutian
 
@@ -309,7 +293,7 @@ def bezoutian(t: TraceInvariants) -> np.ndarray:
 def discriminant(t: TraceInvariants) -> float:
     """det B = prod_{i<j} (r_i - r_j)^2, the discriminant of the spectrum.
 
-    Formed once per tuple.
+    Formed once per tuple.  A determinant that leaves float64 raises.
     """
     return t._disc
 

@@ -364,8 +364,9 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
     factorisation of B + delta I, delta = 4 N eps max|B|, only for a tuple
     whose S_k pass; det B, which misses two pairs of complex roots from
     N = 4 on (0.3 +- 0.05i and 0.2 +- 0.05i), is left to discriminant.  S,
-    B and the certificate are the tuple's own, formed once.  No matrix and
-    no eigensolver are touched.
+    B and the certificate are the tuple's own, formed once; a B whose
+    extension leaves float64 is refused, not judged.  No matrix and no
+    eigensolver are touched.
     """
     if not abs(t.t(1) - 1.0) <= TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")

@@ -85,20 +85,19 @@ class BasisSet:
 class StructureTensors:
     """Structure constants of su(N) as sparse tables.
 
-    The maps ``d`` and ``f`` hold one representative per symmetry class:
-    d is stored for i <= j <= k (totally symmetric), f for i < j < k
-    (totally antisymmetric).  Keys are 1-based index triples.
+    ``d_index``/``d_values`` (and ``f_index``/``f_values``) are the only
+    stored form: the constants in coordinate form over every ordered
+    triple, ``d_index`` a read-only (3, nnz) array of 0-based indices and
+    ``d_values`` the matching values, so d[d_index[0][m], d_index[1][m],
+    d_index[2][m]] = d_values[m].  The columns are sorted by (i, j, k).
 
-    ``d_index``/``d_values`` (and ``f_index``/``f_values``) list the same
-    constants in coordinate form over every ordered triple: ``d_index`` is
-    a read-only (3, nnz) array of 0-based indices and ``d_values`` the
-    matching values, so d[d_index[0][m], d_index[1][m], d_index[2][m]] =
-    d_values[m].
+    The maps ``d`` and ``f``, derived from the tables on first read, hold
+    one representative per symmetry class: d for i <= j <= k (totally
+    symmetric), f for i < j < k (totally antisymmetric).  Keys are 1-based
+    index triples, in ascending order.
     """
 
     dim: int
-    d: dict
-    f: dict
     d_index: np.ndarray
     d_values: np.ndarray
     f_index: np.ndarray
@@ -119,6 +118,16 @@ class StructureTensors:
         if value == 0.0:
             return 0.0
         return value * _permutation_sign((i, j, k))
+
+    @cached_property
+    def d(self) -> dict:
+        *ijk, values = _canonical_rows(self, "d")
+        return dict(zip(zip(*ijk), values))
+
+    @cached_property
+    def f(self) -> dict:
+        *ijk, values = _canonical_rows(self, "f")
+        return dict(zip(zip(*ijk), values))
 
     @cached_property
     def _vee_table(self) -> tuple:
@@ -284,12 +293,13 @@ def _above_threshold(index: np.ndarray, values: np.ndarray):
     return _readonly(index[:, keep]), _readonly(values[keep])
 
 
-def _canonical_map(index: np.ndarray, values: np.ndarray, strict: bool) -> dict:
-    """1-based {(i, j, k): value} over the sorted triples of a COO table."""
+def _canonical_rows(tensors: StructureTensors, name: str) -> tuple:
+    """1-based i, j, k lists and the value list over the sorted triples of
+    the d table (i <= j <= k) or the f table (i < j < k), in stored order."""
+    index, values = getattr(tensors, f"{name}_index"), getattr(tensors, f"{name}_values")
     i, j, k = index
-    keep = (i < j) & (j < k) if strict else (i <= j) & (j <= k)
-    keys = zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist(), (k[keep] + 1).tolist())
-    return dict(zip(keys, values[keep].tolist()))
+    keep = (i < j) & (j < k) if name == "f" else (i <= j) & (j <= k)
+    return (*(index[:, keep] + 1).tolist(), values[keep].tolist())
 
 
 def structure_constants(basis: BasisSet) -> StructureTensors:
@@ -325,8 +335,6 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     f_index, f_values = _above_threshold(index, traces.imag / 2.0)
     return StructureTensors(
         dim=basis.dim,
-        d=_canonical_map(d_index, d_values, strict=False),
-        f=_canonical_map(f_index, f_values, strict=True),
         d_index=d_index,
         d_values=d_values,
         f_index=f_index,
@@ -404,9 +412,13 @@ def basis_to_json(basis: BasisSet) -> dict:
 
 
 def tensors_to_json(tensors: StructureTensors) -> dict:
-    """JSON-ready dump of the sparse tables with 1-based index triples."""
+    """JSON-ready dump of the sparse tables with 1-based index triples,
+    read straight off the coordinate tables (i <= j <= k for d, i < j < k
+    for f) in stored order.  That order is sorted by (i, j, k), since
+    _triple_traces emits sorted keys chunk by chunk in ascending generator
+    order, so the dump builds no map and sorts nothing."""
     payload = {"N": tensors.dim}
     for name in ("d", "f"):
-        items = sorted(getattr(tensors, name).items())
-        payload[name] = [{"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in items]
+        rows = zip(*_canonical_rows(tensors, name))
+        payload[name] = [{"i": i, "j": j, "k": k, "value": v} for i, j, k, v in rows]
     return payload

@@ -263,6 +263,17 @@ def test_check_refuses_a_record_that_leaves_float64(capsys, monkeypatch, xi, mes
     assert invoke(capsys, "invariants", "--xi", csv) == (1, "", f"error: {message}\n")
 
 
+def test_invariants_refuses_a_discriminant_that_leaves_float64(capsys):
+    # N = 4: every t_k, S_k and t_k of the extension is finite, det B is not;
+    # no "disc": Infinity token is printed
+    xi = "0,0,1e30,0,0,0,0,1e30,0,0,0,0,0,0,0"
+    assert invoke(capsys, "invariants", "--xi", xi) == (
+        1,
+        "",
+        "error: discriminant leaves the float64 range\n",
+    )
+
+
 # a verdict's margin is finite: S_k that leave float64 are refused
 _EDGE_MARGINS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 1.7976931348623157e308]
 

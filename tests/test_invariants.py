@@ -23,7 +23,7 @@ from quditorbits.invariants import (
     traces_from_casimirs,
 )
 from quditorbits.orbit_space import OrbitCoordinates, spectrum_from_orbit
-from quditorbits.state_space import sample_states, to_bloch
+from quditorbits.state_space import check_state_traces, sample_states, to_bloch
 from quditorbits.su_algebra import algebra_tensors
 
 CHAIN_TOL = 1e-9
@@ -142,9 +142,25 @@ def test_non_finite_trace_is_refused_where_the_tuple_is_built(N, values, message
 
 def test_newton_extension_leaving_float64_is_refused():
     # t_4 = S_1 t_3 - S_2 t_2 overflows, though t_1, t_2 and S are finite
-    t = TraceInvariants(dim=2, values=[1.0, 1e200])
-    with pytest.raises(ValueError, match=re.escape("trace t_4 = inf is not finite")):
-        newton_extend(t, 4)
+    message = re.escape("trace t_4 = inf is not finite")
+    with pytest.raises(ValueError, match=message):
+        newton_extend(TraceInvariants(dim=2, values=[1.0, 1e200]), 4)
+    # at N = 3 B reads t_4 = S_1 t_3 - S_2 t_2 + S_3 t_1, which overflows: no
+    # B, Grad, det B or certificate is read off an inf entry
+    for values in ([1.0, -2e200, 0.0], [1.0, 1e200, 1.0]):
+        for invariant in (bezoutian, grad_matrix, discriminant):
+            with pytest.raises(ValueError, match=message):
+                invariant(TraceInvariants(dim=3, values=values))
+    # the S_k of [1, -2e200, 0] pass, so the trace route needs B
+    with pytest.raises(ValueError, match=message):
+        check_state_traces(TraceInvariants(dim=3, values=[1.0, -2e200, 0.0]))
+    # S_2 < 0 decides [1, 1e200, 1] before B is read
+    assert check_state_traces(TraceInvariants(dim=3, values=[1.0, 1e200, 1.0])).is_state is False
+    # B is finite (t_4 = 5e299), but det B overflows
+    t = TraceInvariants(dim=3, values=[1.0, 1e150, 1.0])
+    assert np.isfinite(bezoutian(t)).all()
+    with pytest.raises(ValueError, match="discriminant leaves the float64 range"):
+        discriminant(t)
 
 
 def test_trace_tuple_from_tuple_or_list():

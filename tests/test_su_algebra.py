@@ -281,13 +281,42 @@ def test_basis_json_round_trip_values():
     assert lam1[1] == [1.0, 0.0] and lam1[3] == [1.0, 0.0]
 
 
-def test_tensors_json_sorted_and_one_based():
-    payload = tensors_to_json(algebra_tensors(3))
-    d_keys = [(e["i"], e["j"], e["k"]) for e in payload["d"]]
-    assert d_keys == sorted(d_keys)
-    assert all(1 <= i <= j <= k <= 8 for i, j, k in d_keys)
-    f_keys = [(e["i"], e["j"], e["k"]) for e in payload["f"]]
-    assert all(1 <= i < j < k <= 8 for i, j, k in f_keys)
+def _contract_in_chunks(monkeypatch) -> list:
+    """Cap the triple-trace contraction at about 2^16 products per chunk;
+    the list returned records one entry per join, two per chunk."""
+    joins = []
+    ragged = su_algebra._ragged_ranges
+
+    def counted_ragged(starts, counts):
+        joins.append(starts.size)
+        return ragged(starts, counts)
+
+    monkeypatch.setattr(su_algebra, "_ragged_ranges", counted_ragged)
+    monkeypatch.setattr(su_algebra, "CONTRACTION_CHUNK_TERMS", 1 << 16)
+    return joins
+
+
+def test_tensors_json_sorted_and_one_based(monkeypatch):
+    tables = [structure_constants(gell_mann_basis(N)) for N in range(2, 9)]
+    # a dense basis contracted in many chunks is stored sorted too
+    joins = _contract_in_chunks(monkeypatch)
+    tables.append(structure_constants(rotated_basis(5, seed=5)))
+    assert len(joins) // 2 >= 10  # two joins per chunk
+    for t in tables:
+        n = t.size
+        # a cold table is dumped straight off its coordinate form: no map is built
+        payload = tensors_to_json(t)
+        assert "d" not in vars(t) and "f" not in vars(t)
+        d_keys = [(e["i"], e["j"], e["k"]) for e in payload["d"]]
+        assert d_keys == sorted(d_keys)
+        assert all(1 <= i <= j <= k <= n for i, j, k in d_keys)
+        f_keys = [(e["i"], e["j"], e["k"]) for e in payload["f"]]
+        assert f_keys == sorted(f_keys)
+        assert all(1 <= i < j < k <= n for i, j, k in f_keys)
+        for name in ("d", "f"):
+            items = sorted(getattr(t, name).items())
+            rows = [{"i": i, "j": j, "k": k, "value": v} for (i, j, k), v in items]
+            assert payload[name] == rows
 
 
 def test_structure_constants_rejects_bad_basis():
@@ -350,15 +379,7 @@ def test_gram_gate_over_several_chunks(monkeypatch):
     basis = rotated_basis(6, seed=6)
     monkeypatch.setattr(su_algebra, "CONTRACTION_CHUNK_TERMS", 1 << 62)
     whole = structure_constants(basis)
-    joins = []
-    ragged = su_algebra._ragged_ranges
-
-    def counted_ragged(starts, counts):
-        joins.append(starts.size)
-        return ragged(starts, counts)
-
-    monkeypatch.setattr(su_algebra, "_ragged_ranges", counted_ragged)
-    monkeypatch.setattr(su_algebra, "CONTRACTION_CHUNK_TERMS", 1 << 16)
+    joins = _contract_in_chunks(monkeypatch)
     chunked = structure_constants(basis)
     assert len(joins) // 2 >= 10  # two joins per chunk
     for name in ("d_index", "d_values", "f_index", "f_values"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -277,16 +278,37 @@ def _cmd_invariants(args) -> int:
     _require_dim(args.N, N)
     t = inv.trace_invariants(rho)
     S = inv.char_coefficients(t)
+    # casimirs overflows for a finite xi far outside the ball; its inf is
+    # refused below, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        casimirs = inv.casimirs(xi, algebra_tensors(N)).as_dict()
     record = {
         "N": N,
         "t": [t.t(k) for k in range(1, N + 1)],
         "S": list(S),
         "disc": inv.discriminant(t),
         "bezoutian_rank": inv.bezoutian_rank(inv.bezoutian(t)),
-        "casimirs": inv.casimirs(xi, algebra_tensors(N)).as_dict(),
+        "casimirs": casimirs,
     }
+    _require_finite(record)
     _emit([_dumps(record)], args.out)
     return 0
+
+
+def _require_finite(record: dict) -> None:
+    """Raise for the first NaN or infinite number of an invariants record,
+    naming its field (t_k, S_k, a Casimir c_k or disc): JSON has no token
+    for one."""
+    for key, value in record.items():
+        if type(value) is dict:
+            fields = value.items()
+        elif type(value) is list:
+            fields = ((f"{key}_{k}", v) for k, v in enumerate(value, 1))
+        else:
+            fields = [(key, value)]
+        for name, v in fields:
+            if not math.isfinite(v):
+                raise ValueError(f"invariant {name} = {v} leaves the float64 range")
 
 
 def _cmd_param(args) -> int:

@@ -8,7 +8,10 @@ with the symmetric vee product.
 
 A trace tuple (TraceInvariants) forms S, B, det B and the certificate
 at most once, so a caller that asks for one twice, as the trace route's
-check followed by discriminant does for S and B, pays for it once.
+check followed by discriminant does for S and B, pays for it once.  The
+traces of a matrix are screened once, by one rule (_refused) on one
+matrix's Python complex numbers and on a stack's arrays alike; the tuple
+built from them skips the finiteness screen that any other tuple meets.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -21,9 +24,10 @@ polynomials in the radial coordinate and the two sphere angles.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -70,6 +74,17 @@ class TraceInvariants:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _of_finite(cls, dim: int, values: list) -> TraceInvariants:
+        """The tuple of a list of floats already screened finite, as
+        _trace_tuple's traces are: built without __post_init__'s screen."""
+        t = cls.__new__(cls)
+        values = np.array(values)
+        values.flags.writeable = False
+        object.__setattr__(t, "dim", dim)
+        object.__setattr__(t, "values", values)
+        return t
+
     @property
     def order(self) -> int:
         return len(self.values)
@@ -93,9 +108,8 @@ class TraceInvariants:
 
     @cached_property
     def _bezoutian(self) -> np.ndarray:
-        i = np.arange(self.dim)
         ext = newton_extend(self, 2 * self.dim - 2).values
-        B = np.concatenate(([float(self.dim)], ext))[np.add.outer(i, i)]
+        B = np.concatenate(([float(self.dim)], ext))[_hankel(self.dim)[0]]
         B.flags.writeable = False
         return B
 
@@ -112,12 +126,13 @@ class TraceInvariants:
         """Procesi-Schwarz: the tuple has a Hermitian matrix iff B is
         positive semidefinite.  Tested without eigenvalues, by a Cholesky
         factorisation of B + delta I, delta = 4 N eps max|B| (about B's
-        rounding); B is finite, as the extension it reads is a tuple."""
+        rounding); B is finite, as the extension it reads is a tuple.  B's
+        first row and last column hold every t_k of B, so max|B| is read
+        off them."""
         B = self._bezoutian
-        shifted = B.copy()
-        shifted.flat[:: self.dim + 1] += 4.0 * self.dim * _EPS * float(np.abs(B).max())
+        size = max(map(abs, B[0].tolist() + B[:, -1].tolist()))
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(B + 4.0 * self.dim * _EPS * size * _hankel(self.dim)[1])
         except np.linalg.LinAlgError:
             return False
         return True
@@ -167,33 +182,46 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
 
 def _trace_tuple(rho: np.ndarray, upto: int) -> TraceInvariants:
     """trace_invariants of a complex N x N matrix that is Hermitian by
-    construction, as from_bloch's is exactly: no shape or defect check."""
-    tk, rejected = _power_traces(rho, upto)
-    if rejected.any():
-        k = int(rejected.argmax())
-        if not np.isfinite(tk[k]):
+    construction, as from_bloch's is exactly: no shape or defect check.
+    Its traces pass _refused once; the tuple does not screen them again."""
+    tk, refused = _power_traces(rho, upto)
+    if any(refused):
+        k = refused.index(True)
+        if not cmath.isfinite(tk[k]):
             raise ValueError(f"trace of power {k + 1} leaves the float64 range")
         raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
-    return TraceInvariants(dim=rho.shape[-1], values=tk.real)
+    return TraceInvariants._of_finite(rho.shape[-1], [z.real for z in tk])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _power_traces(rho: np.ndarray, upto: int):
     """tr(rho^k), k = 1..upto, over the leading axes of a (..., N, N) array,
-    for trace_invariants and check_states_bloch alike: the complex
-    (upto, ...) traces, power first, and a mask, True where t_k is not
-    finite or an imaginary residue exceeds HERMITIAN_TOL relative to
-    max(1, |t_k|), which trace_invariants refuses.  Powers that overflow
-    raise no RuntimeWarning.
+    for trace_invariants and check_states_bloch alike, and _refused's mask
+    of the traces trace_invariants refuses.  A stack gets the complex
+    (upto, ...) traces, power first, and the mask as arrays; one matrix
+    gets them as lists of Python complex numbers and bools.  Powers that
+    overflow raise no RuntimeWarning.
     """
     powers = np.empty((upto,) + rho.shape, dtype=complex)
     powers[0] = rho
     for k in range(1, upto):
         np.matmul(powers[k - 1], rho, out=powers[k])
     tk = powers.trace(axis1=-2, axis2=-1)
-    # fmax, like max(1.0, |t_k|), takes 1.0 where |t_k| is NaN
-    residue = np.abs(tk.imag) > HERMITIAN_TOL * np.fmax(np.abs(tk), 1.0)
-    return tk, residue | ~np.isfinite(tk)
+    if rho.ndim == 2:
+        tk = tk.tolist()
+        return tk, [*map(_refused, tk)]
+    return tk, _refused(tk)
+
+
+def _refused(t):
+    """True where a trace t_k is not finite (t - t is then NaN, not 0) or
+    its imaginary residue exceeds HERMITIAN_TOL relative to max(1, |t_k|):
+    one rule for a Python complex number and, elementwise, a complex array.
+    (abs of a Python complex raises only if |t_k| leaves float64 while both
+    parts are finite, which takes a residue above 1e-8 |t_k|; a matrix
+    within the Hermiticity gate has a residue of rounding size there.)"""
+    residue = abs(t.imag)
+    return ((residue > HERMITIAN_TOL) & (residue > HERMITIAN_TOL * abs(t))) | (t - t != 0)
 
 
 @np.errstate(invalid="ignore")
@@ -259,6 +287,16 @@ def _backward_dot(a: list, b: list, top: int, n: int):
     for j in range(1, n):
         acc = acc + b[j] * a[top - j]
     return acc
+
+
+@cache
+def _hankel(N: int) -> tuple:
+    """The read-only N x N Hankel index i + j that gathers B from
+    t_0..t_{2N-2}, and the identity that shifts B for its certificate."""
+    i = np.arange(N)
+    index, identity = np.add.outer(i, i), np.eye(N)
+    index.flags.writeable = identity.flags.writeable = False
+    return index, identity
 
 
 def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:

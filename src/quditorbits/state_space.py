@@ -28,12 +28,16 @@ runs the single route's own kernels over a leading axis (the Bloch map
 and its projection, the power traces, the Newton recursion, and the S_k
 test with the rank rule) and returns the verdicts as columns: is_state,
 rank and margin, plus the ValueError of each row that has one.  The
-recursion and the rank rule make only elementwise IEEE multiplies and
-adds, in one order, on Python floats for one input and on columns for a
-stack, so each verdict equals check_state_bloch's bit for bit on any
-numpy build.  The core makes no per-row input check of its own: it flags
-the rows that from_bloch, to_bloch or trace_invariants would reject and
-hands each to the single-input route, which returns its verdict or
+Bloch map and its projection are real einsums against the basis as an
+(N^2 - 1, N, 2N) table of (re, im) pairs (a view of its elements), which
+keep the bits of the complex products with the generators and skip the
+projection's imaginary half.  The recursion, the rank rule and the
+margin make only elementwise IEEE operations, in one order, on Python
+floats for one input and on columns for a stack, so each verdict equals
+check_state_bloch's bit for bit on any numpy build.  The core makes no
+per-row input check of its own: it flags the rows that from_bloch,
+to_bloch or trace_invariants would reject and hands each to the
+single-input route, which returns its verdict or
 raises its ValueError; so each check, its message and its order live in
 one place, and every matrix meets the one Hermiticity gate of
 invariants, max |rho - rho^dag| <= HERMITIAN_TOL.  The path follows the
@@ -155,15 +159,21 @@ def from_bloch(xi: np.ndarray) -> np.ndarray:
 
 
 def _bloch_map(xi: np.ndarray, N: int) -> np.ndarray:
-    """from_bloch's map over the leading axes of a (..., N^2 - 1) array."""
-    lam = gell_mann_basis(N).elements
-    return _identity_over(N) + bloch_scale(N) * np.einsum("...i,ijk->...jk", xi, lam)
+    """from_bloch's map over the leading axes of a (..., N^2 - 1) array:
+    sum_i xi_i lam_i formed as real (re, im) pairs, read back as complex."""
+    lam = gell_mann_basis(N).elements.view(float)  # (N^2 - 1, N, 2N) real
+    pairs = np.einsum("...i,ijk->...jk", xi, lam, order="C")
+    return _identity_over(N) + bloch_scale(N) * pairs.view(complex)
 
 
 def _bloch_projection(rho: np.ndarray, N: int) -> np.ndarray:
-    """to_bloch's projection over the leading axes of a (..., N, N) array."""
-    lam = gell_mann_basis(N).elements
-    return np.einsum("ijk,...kj->...i", lam, rho).real / (2.0 * bloch_scale(N))
+    """to_bloch's projection over the leading axes of a (..., N, N) array:
+    Re tr(lam_i rho) from rho's contiguous (re, im) pairs, without the
+    imaginary half.  tr(lam_i rho) takes lam_i^T as (re, -im) pairs, which
+    for a Hermitian lam_i are lam_i's own: the map's real table serves."""
+    lam = gell_mann_basis(N).elements.view(float)
+    pairs = np.ascontiguousarray(rho).view(float)
+    return np.einsum("ijk,...jk->...i", lam, pairs) / (2.0 * bloch_scale(N))
 
 
 @np.errstate(invalid="ignore")
@@ -308,10 +318,16 @@ def _rank_from_ratios(S: list, t: list, tol: float):
 def _s_test(S: np.ndarray, T: np.ndarray, tol: float) -> tuple:
     """The S_k test min_k S_k >= -tol and _rank_from_ratios' rank, for (N,)
     or (B, N) arrays of S_1..S_N and t_1..t_N: (passes, rank, margin), the
-    margin being the smallest S_k.  The rank rule runs on floats or columns."""
-    margin = S.min(axis=-1)
-    lanes = (S.tolist(), T.tolist()) if S.ndim == 1 else (list(S.T), list(T.T))
-    return margin >= -tol, _rank_from_ratios(*lanes, tol), margin
+    margin being the smallest S_k.  Both run on floats or columns; of equal
+    S_k the margin is the last, as numpy's sequential minimum takes it, so
+    a tie of 0.0 and -0.0 reads alike on both."""
+    if S.ndim == 1:
+        S, T = S.tolist(), T.tolist()
+        margin = min(reversed(S))
+    else:
+        S, T = list(S.T), list(T.T)
+        margin = functools.reduce(lambda m, s: np.where(s < m, s, m), reversed(S))
+    return margin >= -tol, _rank_from_ratios(S, T, tol), margin
 
 
 def _stratum(is_state: bool, rank: int, N: int) -> str | None:

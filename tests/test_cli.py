@@ -274,6 +274,33 @@ def test_invariants_refuses_a_discriminant_that_leaves_float64(capsys):
     )
 
 
+def test_invariants_refuses_a_casimir_that_leaves_float64(capsys):
+    # N = 3, xi_8 = 1e52: c6 ~ xi^6 overflows in casimirs' matmul; refused,
+    # naming it, with no "c6": Infinity token and, under the suite's
+    # error::RuntimeWarning, without a warning
+    assert invoke(capsys, "invariants", "--xi", "0,0,0,0,0,0,0,1e52") == (
+        1,
+        "",
+        "error: invariant c6 = inf leaves the float64 range\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        ({"N": 3, "t": [1.0, math.inf, 0.1]}, "t_2 = inf"),
+        ({"N": 3, "S": [1.0, 0.3, math.nan]}, "S_3 = nan"),
+        ({"N": 3, "disc": -math.inf}, "disc = -inf"),
+        ({"N": 3, "casimirs": {"c2": 0.1, "c3": math.nan}}, "c3 = nan"),
+    ],
+)
+def test_invariants_record_names_its_first_non_finite_field(record, name):
+    with pytest.raises(ValueError, match=f"^invariant {name} leaves the float64 range$"):
+        cli._require_finite(record)
+    finite = {"N": 3, "t": [1.0, 0.5], "disc": 0.0, "casimirs": {"c2": 1e308}}
+    cli._require_finite(finite)
+
+
 # a verdict's margin is finite: S_k that leave float64 are refused
 _EDGE_MARGINS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 1.7976931348623157e308]
 

@@ -2,6 +2,7 @@
 samplers."""
 
 import importlib.util
+import itertools
 import math
 import re
 import warnings
@@ -43,6 +44,7 @@ from quditorbits.state_space import (
     to_bloch,
     uniform_simplex,
 )
+from quditorbits.su_algebra import gell_mann_basis
 
 ROUND_TRIP_TOL = 1e-10
 EIG_TOL = 1e-9
@@ -553,7 +555,10 @@ def test_stacked_check_equals_scalar_check(N):
 def test_stacked_kernels_ignore_input_layout(N):
     # The Newton kernel and the rank rule make only elementwise IEEE
     # multiplies and adds, which round alike on any stride, so a row's
-    # result may not depend on the layout of the array it sits in.
+    # result may not depend on the layout of the array it sits in; nor may
+    # the Bloch map's, the projection's or the power traces', which read
+    # their input in one order whatever its layout, and equal, bit for bit,
+    # those of the row or matrix by itself.
     matrices = _route_style_corpus(N, 200, np.random.default_rng(1000 + N))
     T = np.array([trace_invariants(rho).values for rho in matrices])
     S = np.array([_newton_coefficients(row) for row in T])
@@ -566,6 +571,18 @@ def test_stacked_kernels_ignore_input_layout(N):
             "strided view": np.stack([a, -a], axis=-1)[..., 0],
         }
 
+    xis = np.array([to_bloch(rho) for rho in matrices])
+    maps = [state_space._bloch_map(xi, N).tobytes() for xi in xis]
+    projections = [state_space._bloch_projection(rho, N).tobytes() for rho in matrices]
+    traces = [_power_traces(rho, N) for rho in matrices]
+    traces = [(np.array(tk).tobytes(), refused) for tk, refused in traces]
+    for name, xi_in in layouts(xis).items():
+        assert [m.tobytes() for m in state_space._bloch_map(xi_in, N)] == maps, name
+    for name, rho_in in layouts(matrices).items():
+        assert [x.tobytes() for x in state_space._bloch_projection(rho_in, N)] == projections, name
+        tk, refused = _power_traces(rho_in, N)
+        assert [(t.tobytes(), r) for t, r in zip(tk.T, refused.T.tolist())] == traces, name
+
     for (name, T_in), S_in in zip(layouts(T).items(), layouts(S).values()):
         assert np.array_equal(_newton_coefficients(T_in), S), name
         for tol in (POSITIVITY_TOL, 0.0, 1e-3):
@@ -574,6 +591,137 @@ def test_stacked_kernels_ignore_input_layout(N):
             rows = [rule(s.tolist(), t.tolist(), tol) for s, t in zip(S, T)]
             assert rule(list(S_in.T), list(T_in.T), tol).tolist() == rows, name
             assert state_space._s_test(S_in, T_in, tol)[1].tolist() == rows, name
+
+
+def _complex_bloch_map(xi, N):
+    """The Bloch map as the complex einsum against the dense basis, which
+    the real (re, im) table replaced: the reference for its bits."""
+    lam = gell_mann_basis(N).elements
+    return state_space._identity_over(N) + bloch_scale(N) * np.einsum("...i,ijk->...jk", xi, lam)
+
+
+def _complex_bloch_projection(rho, N):
+    """The projection as the complex einsum whose real half it kept."""
+    lam = gell_mann_basis(N).elements
+    return np.einsum("ijk,...kj->...i", lam, rho).real / (2.0 * bloch_scale(N))
+
+
+def _numpy_trace_screen(tk):
+    """The stacked traces' refusal mask as numpy ufuncs state it."""
+    size = np.fmax(np.abs(tk), 1.0)  # like max(1.0, |t_k|), 1.0 where |t_k| is NaN
+    return (np.abs(tk.imag) > invariants.HERMITIAN_TOL * size) | ~np.isfinite(tk)
+
+
+def _same_bits(a, b):
+    """Equal shapes and, sign bits included, equal bits wherever a is not
+    NaN, and NaN where it is (a NaN's payload is the platform's)."""
+    a, b = (np.asarray(x).view(float) if np.iscomplexobj(x) else np.asarray(x) for x in (a, b))
+    nan = np.isnan(a)
+    if a.shape != b.shape or not np.array_equal(nan, np.isnan(b)):
+        return False
+    return a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
+    # the (re, im) table makes the products and sums of the complex
+    # einsums without their zero imaginary halves: every entry keeps its
+    # bits, on one input and on a stack, and so do the power traces and
+    # their refusal mask, summed off the diagonal one by one
+    rng = np.random.default_rng(1200 + N)
+    n = N * N - 1
+    cartan = np.isin(np.arange(n), [m * m - 2 for m in range(2, N + 1)])
+    mixed_zeros = np.where(rng.random((3, n)) < 0.5, -0.0, rng.normal(size=(3, n)))
+    stacks = {
+        "gaussian": rng.normal(size=(6, n)) / N,
+        "cartan-only": np.where(cartan, rng.normal(size=(4, n)), 0.0),
+        "-0.0": np.vstack([np.full(n, -0.0), mixed_zeros]),
+        "huge": np.vstack([1e300 * rng.normal(size=(2, n)), np.full(n, 1.7e308), np.full(n, 1e52)]),
+        "empty": np.empty((0, n)),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, xis in stacks.items():
+            rhos = _complex_bloch_map(xis, N)
+            noisy = rhos + 1e-3 * (rng.normal(size=rhos.shape) + 1j * rng.normal(size=rhos.shape))
+            negated = np.negative(np.zeros_like(rhos)) if name == "-0.0" else noisy
+            assert _same_bits(state_space._bloch_map(xis, N), rhos), name
+            for rho in (rhos, noisy, negated):
+                projected = state_space._bloch_projection(rho, N)
+                assert _same_bits(projected, _complex_bloch_projection(rho, N)), name
+                powers = [rho]
+                for _ in range(N - 1):
+                    powers.append(powers[-1] @ rho)
+                tk = np.array(powers).trace(axis1=-2, axis2=-1)
+                stacked, refused = _power_traces(rho, N)
+                assert _same_bits(stacked, tk), name
+                assert np.array_equal(refused, _numpy_trace_screen(tk)), name
+            for xi, rho in zip(xis, rhos):
+                assert _same_bits(state_space._bloch_map(xi, N), rho), name
+                projected = state_space._bloch_projection(rho, N)
+                assert _same_bits(projected, _complex_bloch_projection(rho, N)), name
+                single, refused = _power_traces(rho, N)
+                column = _power_traces(rho[np.newaxis], N)[0][:, 0]
+                assert _same_bits(np.array(single), column), name
+                assert refused == _numpy_trace_screen(np.array(single)).tolist(), name
+
+
+def test_one_tuple_trace_screen_flags_what_the_stacked_mask_flags():
+    # _refused on a Python complex and on an array, and numpy's statement
+    # of the mask, agree on each side of the residue threshold
+    # HERMITIAN_TOL max(1, |t_k|), at one ulp, and on every non-finite t_k
+    tol = invariants.HERMITIAN_TOL
+    cases = []
+    for re in (0.3, 1.0, -7.5, 1e5, 1e300, 0.0, -0.0):
+        bound = tol * max(1.0, abs(re))
+        for im in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)):
+            cases += [complex(re, im), complex(re, -im)]
+    special = (np.nan, np.inf, -np.inf, 1.0, 0.0)
+    cases += [complex(re, im) for re in special for im in special + (2e-10,)]
+    with np.errstate(invalid="ignore"):
+        mask = _numpy_trace_screen(np.array(cases)).tolist()
+        assert invariants._refused(np.array(cases)).tolist() == mask
+    assert [invariants._refused(t) for t in cases] == mask
+    assert mask.count(True) > 30 and mask.count(False) > 20
+    # +-bound and +-(bound - 1 ulp) pass, +-(bound + 1 ulp) is flagged
+    assert mask[:42] == ([False] * 4 + [True] * 2) * 7
+
+    # matrices within the Hermiticity gate, and past it or past float64:
+    # one matrix and a one-matrix stack flag alike, and trace_invariants
+    # names the lowest flagged power as before
+    N = 3
+    state = sample_states(N, 1, seed=9)[0]
+    skew = state.copy()
+    skew[0, 1] += 5e-11
+    residue = np.diag([1 / N + 4e-11j] * N)
+    huge = np.diag([1e200, -1e200, 1.0]).astype(complex)
+    infinite = np.diag([np.inf, 0.0, 0.0]).astype(complex)
+    complex_inf = np.full((N, N), complex(np.inf, np.inf))
+    for rho in (state, skew, residue, huge, infinite, complex_inf, np.full((N, N), np.nan + 0j)):
+        tk, refused = _power_traces(rho, N)
+        assert refused == _power_traces(rho[np.newaxis], N)[1][:, 0].tolist()
+    assert not any(_power_traces(skew, N)[1])
+    with pytest.raises(ValueError, match=r"^trace of power 1 has imaginary residue 1\.200e-10$"):
+        trace_invariants(residue)
+    with pytest.raises(ValueError, match="^trace of power 2 leaves the float64 range$"):
+        trace_invariants(huge)
+    # an infinite entry fails the Hermiticity gate (inf - inf), so the
+    # screen is reached past it
+    with pytest.raises(ValueError, match="^trace of power 1 leaves the float64 range$"):
+        invariants._trace_tuple(infinite, N)
+
+
+def test_margin_of_a_signed_zero_tie_is_the_last_zero():
+    # of equal S_k the margin is the last, on one tuple's floats and on a
+    # stack's columns alike, so a 0.0 and -0.0 tie has one reading
+    for N in (3, 8, 12):
+        pairs = list(itertools.permutations(range(N), 2))
+        S = np.full((len(pairs), N), 0.5)
+        for row, (i, j) in zip(S, pairs):
+            row[i], row[j] = 0.0, -0.0
+        T = np.ones_like(S)
+        margins = np.array([state_space._s_test(s, t, POSITIVITY_TOL)[2] for s, t in zip(S, T)])
+        assert margins.tobytes() == state_space._s_test(S, T, POSITIVITY_TOL)[2].tobytes()
+        assert np.signbit(margins).tolist() == [j > i for i, j in pairs]
 
 
 def _rank_rule_rows(tol):

@@ -13,7 +13,14 @@ from hypothesis import strategies as hst
 import quditorbits.cli as cli
 from quditorbits.cli import run
 from quditorbits.orbit_space import ANGLE_CONVENTION
-from quditorbits.state_space import bloch_scale, check_state_bloch, sample_states, to_bloch
+from quditorbits.state_space import (
+    bloch_scale,
+    check_state_bloch,
+    from_bloch,
+    haar_unitary,
+    sample_states,
+    to_bloch,
+)
 from quditorbits.su_algebra import gell_mann_basis
 
 
@@ -366,6 +373,16 @@ def _mixed_chunk():
     lines = [json.dumps(record) for record in records]
     lines.append('{"xi": [1' + "0" * 400 + ", 0, 0]}")
     lines.append("not json")
+    # lines the scanner cannot read whole, which json.loads then refuses
+    good = json.dumps(_state_record(2, rng, "xi"))
+    lines.append("\ufeff" + good)  # a UTF-8 BOM
+    lines.append(good + " x")  # trailing data
+    lines.append(good + " " + good)  # two records on one line
+    lines.append("[" * 100000)  # nested too deep
+    # lines it reads whole, as json.loads does
+    lines.append('{"xi": [0.1, 0, 0], "xi": [0.2, 0.1, 0]}')  # the last key wins
+    lines.append('{ "xi" :[ 0.1 ,\t0.0 , 0.2 ] }')  # whitespace between the tokens
+    lines.append('{"xi": [-Infinity, 0, 0]}')
     order = np.random.default_rng(14).permutation(len(lines))
     return [lines[i] for i in order]
 
@@ -381,6 +398,35 @@ def test_batch_check_matches_record_by_record_reference(capsys, monkeypatch, arg
     got = invoke(capsys, "check", *argv)
     assert got == _reference_check(text, N)
     assert got[1].count("\n") >= 5
+
+
+@pytest.mark.parametrize("one_chunk", [True, False])
+def test_batch_check_heads_match_reference_at_every_rank(capsys, monkeypatch, one_chunk):
+    # each group holds every (is_state, rank) pair of its N several times,
+    # so that most verdict lines are built from a cached head
+    rng = np.random.default_rng(22)
+    records = []
+    for N in range(2, 9):
+        for copy in range(4):
+            rhos = [np.eye(N) / N]  # the centre I/N
+            for r in range(1, N + 1):
+                u = haar_unitary(N, rng)
+                rhos.append((u * np.r_[rng.dirichlet(np.ones(r)), np.zeros(N - r)]) @ u.conj().T)
+            xis = [to_bloch(rho) for rho in rhos]
+            xis.append(3.0 * xis[-1])  # not a state
+            for xi in xis:
+                if copy % 2:
+                    rho = from_bloch(xi)
+                    records.append({"rho": np.stack([rho.real, rho.imag], -1).tolist()})
+                else:
+                    records.append({"xi": xi.tolist()})
+    text = "\n".join(json.dumps(record) for record in records) + "\n"
+    monkeypatch.setattr(cli, "CHECK_CHUNK", len(records) if one_chunk else 9)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    got = invoke(capsys, "check")
+    assert got == _reference_check(text)
+    strata = {json.loads(line)["stratum"] for line in got[1].splitlines()}
+    assert {None, "pure", "interior"} | {f"boundary-rank-{r}" for r in range(2, 8)} <= strata
 
 
 _XI_ROWS = [  # N = 2 Bloch rows: 3 numbers

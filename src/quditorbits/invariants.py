@@ -15,6 +15,8 @@ built from them skips the finiteness screen that any other tuple meets.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
+HERMITIAN_TOL lives in su_algebra, whose structure_constants holds a
+basis to it as well.
 
 Two closed-form families are included for cross-checking the orbit
 parameterization: t_3 of a qutrit as an explicit polynomial in the eight
@@ -31,13 +33,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .su_algebra import StructureTensors, _contraction_matrix
-
-# Hermiticity defect max |rho - rho^dag| tolerated by every matrix input,
-# and imaginary residue of tr(rho^k) tolerated relative to |t_k|.  A defect
-# moves tr(rho^k) at first order only in its imaginary part, which is
-# dropped or refused; the real part moves at second order, O(k^2 defect^2).
-HERMITIAN_TOL = 1e-10
+from .su_algebra import HERMITIAN_TOL, StructureTensors, _contraction_matrix
 
 # Rank cutoff for the Bezoutian, relative to its spectral scale.  Two
 # eigenvalues of rho closer than the 1e-7 distinctness threshold produce a
@@ -46,6 +42,13 @@ HERMITIAN_TOL = 1e-10
 BEZOUTIAN_RANK_CUTOFF = 1e-13
 
 _EPS = float(np.finfo(float).eps)
+
+# Largest c2 = (N-1)|xi|^2 for which casimirs skips its overflow screen.
+# |xi v eta| <= K |xi| |eta|, where K^2 <= (N-1)(N^2-4)(N^2-1)/2 bounds
+# the vee product by the Frobenius norm of d, so c6 <= K^4 c2^3 / (N-1)^2
+# < N^8 c2^3, and no entry or partial sum of M, v2 and v3 is larger: below
+# 1e50 nothing leaves float64 for any N < 10^19.
+_CASIMIR_SAFE_C2 = 1e50
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,19 +372,38 @@ def casimirs(xi: np.ndarray, tensors: StructureTensors) -> CasimirValues:
     M(xi) eta = xi v eta: v2 = M xi and v3 = M v2, which is (xi v xi) v xi
     because d is totally symmetric.  c2 takes no vee product.
 
+    c2 is formed first and screens the rest: up to _CASIMIR_SAFE_C2 no
+    invariant can leave float64, so a moderate xi pays one compare.  Above
+    it the chain runs without RuntimeWarnings and a NaN or infinite
+    invariant is refused, naming the first.
+
     Raises
     ------
     ValueError
-        If xi is no vector of length N^2 - 1.
+        If xi is no vector of length N^2 - 1, or an invariant is not
+        finite (``invariant c6 = inf leaves the float64 range``).
     """
     xi = np.asarray(xi, dtype=float)
-    N = tensors.dim
-    w = float(N - 1)
+    w = float(tensors.dim - 1)
+    # the BLAS dot of xi @ xi, which raises no RuntimeWarning on overflow
+    c2 = w * float(np.vdot(xi, xi))
+    if c2 <= _CASIMIR_SAFE_C2:
+        return _casimir_chain(xi, c2, w, tensors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _casimir_chain(xi, c2, w, tensors)
+    for name, value in c.as_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"invariant {name} = {value} leaves the float64 range")
+    return c
+
+
+def _casimir_chain(xi: np.ndarray, c2: float, w: float, tensors: StructureTensors):
+    """CasimirValues from c2 = w xi.xi and the vee chain, w = N - 1."""
     M = _contraction_matrix(xi, tensors)
     v2 = M @ xi
     v3 = M @ v2  # (xi v xi) v xi = xi v (xi v xi), as d is symmetric
     return CasimirValues(
-        c2=w * float(xi @ xi),
+        c2=c2,
         c3=w * float(xi @ v2),
         c4=w * float(v2 @ v2),
         c5=w * float(v3 @ v2),

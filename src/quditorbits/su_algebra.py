@@ -7,8 +7,9 @@ rest of the library hangs off of them:
 * the totally symmetric (d) and antisymmetric (f) structure constants of
   the multiplication rule
       lam_i lam_j = (2/N) delta_ij I + sum_k (d_ijk + i f_ijk) lam_k,
-  contracted from the nonzero generator entries and kept as sparse tables
-  (no dense (N^2-1)^3 array is ever formed),
+  contracted from the nonzero generator entries over the triples
+  i <= j <= k, filled to every ordering by symmetry and kept as sparse
+  tables (no dense (N^2-1)^3 array is ever formed),
 * the weight vectors of the defining representation (the halved diagonals
   of the Cartan generators),
 * the symmetric "vee" product (xi v eta)_k ~ d_ijk xi_i eta_j on adjoint
@@ -39,6 +40,13 @@ SPARSITY_THRESHOLD = 1e-12
 # Orthonormality defect tolerated before structure-constant extraction
 # refuses the input basis.
 ORTHONORMALITY_TOL = 1e-10
+
+# Hermiticity defect max |a - a^dag| tolerated by every matrix input of the
+# package (a basis here, a matrix in invariants), and imaginary residue of
+# tr(rho^k) tolerated relative to |t_k|.  A defect moves tr(rho^k) at first
+# order only in its imaginary part, which is dropped or refused; the real
+# part moves at second order, O(k^2 defect^2).
+HERMITIAN_TOL = 1e-10
 
 # Rough cap on the products formed at once by the sparse triple-trace
 # contraction; the generators are processed in chunks below it.
@@ -89,7 +97,12 @@ class StructureTensors:
     stored form: the constants in coordinate form over every ordered
     triple, ``d_index`` a read-only (3, nnz) array of 0-based indices and
     ``d_values`` the matching values, so d[d_index[0][m], d_index[1][m],
-    d_index[2][m]] = d_values[m].  The columns are sorted by (i, j, k).
+    d_index[2][m]] = d_values[m].  Each ordered triple appears once, and
+    every ordering of a triple holds the same bits (f negated on the odd
+    orderings), since structure_constants contracts i <= j <= k only and
+    fills the rest by symmetry.  The canonical block comes first, sorted by
+    (i, j, k): i <= j <= k for d, i < j < k for f (f vanishes when two
+    indices agree).  The other orderings follow it, unsorted.
 
     The maps ``d`` and ``f``, derived from the tables on first read, hold
     one representative per symmetry class: d for i <= j <= k (totally
@@ -238,28 +251,36 @@ def _sum_by_key(keys: np.ndarray, weights: np.ndarray):
     return uniq, real + 1j * imag
 
 
-def _triple_traces(lam: np.ndarray):
-    """T_abc = tr(lam_a lam_b lam_c) = sum lam_a[x,y] lam_b[y,z] lam_c[z,x].
+def _triple_traces(n: int, N: int, gen, row, col, val):
+    """T_abc = tr(lam_a lam_b lam_c) = sum lam_a[x,y] lam_b[y,z] lam_c[z,x]
+    over the triples a <= b <= c, from the nonzero entries (a, x, y, value)
+    of n stacked N x N generators, in generator order.
 
-    Works on the nonzero entries (a, x, y, value) of the stacked
-    generators in two joins: entries sharing y are paired and summed over
-    y into P_ab[x, z], and each P_ab[x, z] is matched with the entries
-    lam_c[z, x].  Generators a are taken in chunks so that no chunk forms
-    more than about CONTRACTION_CHUNK_TERMS products, which bounds memory
-    on a dense basis.  Returns the Gram tr(lam_a lam_b), the sum of the
-    x = z entries of P_ab, then the sorted flat keys (a n + b) n + c of
-    the triples with a nonzero term and their complex traces.
+    Two joins: entries sharing y are paired, for b >= a only, and summed
+    over y into P_ab[x, z], and each P_ab[x, z] is matched with the entries
+    lam_c[z, x], for c >= b only.  The entries of a row, and of a position,
+    are kept in generator order, so the matches at or above a generator
+    are the tail of their range and no other ordering of a triple is
+    formed.  Each T_abc sums the same products, in the same order, as the
+    contraction over every ordered triple would.  Generators a are taken
+    in chunks so that no chunk forms more than about
+    CONTRACTION_CHUNK_TERMS products, which bounds memory on a dense
+    basis.  Returns the Gram tr(lam_a lam_b), a <= b, the sum of the x = z
+    entries of P_ab, as sorted flat keys a n + b and values, then the
+    sorted flat keys (a n + b) n + c of the triples a <= b <= c with a
+    nonzero term and their complex traces.
     """
-    n, N, _ = lam.shape
-    gen, row, col = np.nonzero(lam)
-    val = lam[gen, row, col]
+    # (row, generator) and (position, generator) keys in sorted order: a
+    # search for (y, a) finds where the generators a and up of row y start
     by_row = np.argsort(row, kind="stable")
+    row_gen = row[by_row] * n + gen[by_row]
     row_count = np.bincount(row, minlength=N)
-    row_start = np.cumsum(row_count) - row_count
+    row_end = np.cumsum(row_count)
     pos = row * N + col
     by_pos = np.argsort(pos, kind="stable")
+    pos_gen = pos[by_pos] * n + gen[by_pos]
     pos_count = np.bincount(pos, minlength=N * N)
-    pos_start = np.cumsum(pos_count) - pos_count
+    pos_end = np.cumsum(pos_count)
 
     # Upper bound on the products formed per generator a: its first-join
     # pairs times the most entries any second-join position can match.
@@ -268,29 +289,56 @@ def _triple_traces(lam: np.ndarray):
     first_gen = np.concatenate(([0], np.flatnonzero(np.diff(window)) + 1, [n]))
     edges = np.searchsorted(gen, first_gen)
 
-    gram = np.zeros(n * n, dtype=complex)
-    keys, traces = [], []
+    gram_keys, grams, keys, traces = [], [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         first = np.arange(lo, hi)
-        owner, idx = _ragged_ranges(row_start[col[first]], row_count[col[first]])
+        y = col[first]
+        start = np.searchsorted(row_gen, y * n + gen[first])
+        owner, idx = _ragged_ranges(start, row_end[y] - start)
         e1, e2 = first[owner], by_row[idx]
         pair_key = ((gen[e1] * n + gen[e2]) * N + row[e1]) * N + col[e2]
         pair_key, pair = _sum_by_key(pair_key, val[e1] * val[e2])
         ab, x, z = pair_key // (N * N), (pair_key // N) % N, pair_key % N
-        gram_key, gram_ab = _sum_by_key(ab[x == z], pair[x == z])
-        gram[gram_key] = gram_ab
+        gram_key, gram = _sum_by_key(ab[x == z], pair[x == z])
+        gram_keys.append(gram_key)
+        grams.append(gram)
         where = z * N + x
-        owner, idx = _ragged_ranges(pos_start[where], pos_count[where])
+        start = np.searchsorted(pos_gen, where * n + ab % n)
+        owner, idx = _ragged_ranges(start, pos_end[where] - start)
         e3 = by_pos[idx]
         k, t = _sum_by_key(ab[owner] * n + gen[e3], pair[owner] * val[e3])
         keys.append(k)
         traces.append(t)
-    return gram.reshape(n, n), np.concatenate(keys), np.concatenate(traces)
+    return tuple(map(np.concatenate, (gram_keys, grams, keys, traces)))
 
 
-def _above_threshold(index: np.ndarray, values: np.ndarray):
-    keep = np.abs(values) >= SPARSITY_THRESHOLD
-    return _readonly(index[:, keep]), _readonly(values[keep])
+def _gram_defect(n: int, gram_key: np.ndarray, gram: np.ndarray):
+    """max |tr(lam_a lam_b) - 2 delta_ab| over a <= b, from the sparse Gram
+    of _triple_traces; a generator with no diagonal key has tr(lam_a^2) = 0.
+    NaN if an entry is."""
+    on = gram_key % (n + 1) == 0  # a n + b = a (n + 1) exactly when a = b
+    diag = np.zeros(n, dtype=complex)
+    diag[gram_key[on] // (n + 1)] = gram[on]
+    return np.abs(np.concatenate((diag - 2.0, gram[~on]))).max()
+
+
+def _every_ordering(index: np.ndarray, values: np.ndarray, odd_sign: float):
+    """The coordinate table over every ordered triple, from its canonical
+    block: the sorted columns (a, b, c), a <= b <= c, of index and their
+    values, which come first.  Each column adds its two other cyclic
+    orderings unless a = b = c, and its three odd orderings, carrying
+    odd_sign times its value, only if a < b < c.  Masks, no sort."""
+    a, b, c = index
+    cyclic = a < c
+    odd = (a < b) & (b < c)
+    ac, bc, cc = a[cyclic], b[cyclic], c[cyclic]
+    ao, bo, co = a[odd], b[odd], c[odd]
+    table = np.empty((3, values.size + 2 * ac.size + 3 * ao.size), dtype=index.dtype)
+    np.concatenate((a, bc, cc, ao, bo, co), out=table[0])
+    np.concatenate((b, cc, ac, co, ao, bo), out=table[1])
+    np.concatenate((c, ac, bc, bo, co, ao), out=table[2])
+    cv, ov = values[cyclic], odd_sign * values[odd]
+    return _readonly(table), _readonly(np.concatenate((values, cv, cv, ov, ov, ov)))
 
 
 def _canonical_rows(tensors: StructureTensors, name: str) -> tuple:
@@ -311,28 +359,53 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     T_ijk = tr(lam_i lam_j lam_k).  T is contracted over the nonzero
     entries of the generators only, so no (N^2-1)^3 array is formed: the
     standard basis has about 2.5 N^2 entries, about 2.5 N in a row, and
-    the work grows like N^3.  Any orthonormal basis goes through the same
-    path; a dense one costs more but stays in bounded memory.  The
-    orthonormality gate reads tr(lam_i lam_j) off the same contraction.
-    Entries below SPARSITY_THRESHOLD are dropped.
+    the work grows like N^3.  Any orthonormal Hermitian basis goes through
+    the same path; a dense one costs more but stays in bounded memory.
+
+    Only the triples i <= j <= k are contracted.  For Hermitian generators
+    T is invariant under cyclic permutations and turns into its complex
+    conjugate under odd ones, so d is totally symmetric and f totally
+    antisymmetric (f vanishes when two indices agree), and the other
+    orderings of the stored tables are filled from the contracted ones:
+    every ordering of a d entry, or of an f entry i < j < k up to its sign,
+    holds the same bits.  Each table stores its canonical block first
+    (d: i <= j <= k, f: i < j < k, sorted by (i, j, k)), then the cyclic
+    and the odd orderings.  Entries below SPARSITY_THRESHOLD are dropped.
+
+    Both gates read the same nonzero entries: the orthonormality gate the
+    Gram tr(lam_i lam_j), i <= j, of the first join, and the Hermiticity
+    gate max |lam_i - lam_i^dag|, held to HERMITIAN_TOL like every matrix
+    input, since the fill relies on it.
 
     Raises
     ------
     ValueError
         If the basis fails tr(lam_i lam_j) = 2 delta_ij beyond 1e-10, or
-        has a NaN or infinite entry.
+        has a NaN or infinite entry, or if a generator fails
+        lam = lam^dag beyond HERMITIAN_TOL.
     """
-    n = basis.size
+    n, N, lam = basis.size, basis.dim, basis.elements
+    gen, row, col = np.nonzero(lam)
+    val = lam[gen, row, col]
     with np.errstate(invalid="ignore"):
-        gram, keys, traces = _triple_traces(basis.elements)
-        defect = np.max(np.abs(gram - 2.0 * np.eye(n)))
+        gram_key, gram, keys, traces = _triple_traces(n, N, gen, row, col, val)
+        defect = _gram_defect(n, gram_key, gram)
+        # max |lam - lam^dag| over the nonzero entries alone: a zero entry
+        # adds 0 if its mirror is zero, and else its mirror's term
+        hermitian = np.abs(val - lam[gen, col, row].conj()).max(initial=0.0)
     if not defect <= ORTHONORMALITY_TOL:
         raise ValueError(
             f"basis is not orthonormal: max |tr(l_i l_j) - 2 delta_ij| = {defect:.3e}"
         )
+    if not hermitian <= HERMITIAN_TOL:
+        raise ValueError(f"basis is not Hermitian: max |l_i - l_i^dag| = {hermitian:.3e}")
     index = np.array(np.unravel_index(keys, (n, n, n)))
-    d_index, d_values = _above_threshold(index, traces.real / 2.0)
-    f_index, f_values = _above_threshold(index, traces.imag / 2.0)
+    i, j, k = index
+    d, f = traces.real / 2.0, traces.imag / 2.0
+    d_keep = np.abs(d) >= SPARSITY_THRESHOLD
+    f_keep = (np.abs(f) >= SPARSITY_THRESHOLD) & (i < j) & (j < k)
+    d_index, d_values = _every_ordering(index[:, d_keep], d[d_keep], 1.0)
+    f_index, f_values = _every_ordering(index[:, f_keep], f[f_keep], -1.0)
     return StructureTensors(
         dim=basis.dim,
         d_index=d_index,
@@ -413,10 +486,11 @@ def basis_to_json(basis: BasisSet) -> dict:
 
 def tensors_to_json(tensors: StructureTensors) -> dict:
     """JSON-ready dump of the sparse tables with 1-based index triples,
-    read straight off the coordinate tables (i <= j <= k for d, i < j < k
-    for f) in stored order.  That order is sorted by (i, j, k), since
-    _triple_traces emits sorted keys chunk by chunk in ascending generator
-    order, so the dump builds no map and sorts nothing."""
+    read straight off the canonical blocks of the coordinate tables
+    (i <= j <= k for d, i < j < k for f) in stored order.  That order is
+    sorted by (i, j, k), since _triple_traces emits sorted keys chunk by
+    chunk in ascending generator order, so the dump builds no map and
+    sorts nothing."""
     payload = {"N": tensors.dim}
     for name in ("d", "f"):
         rows = zip(*_canonical_rows(tensors, name))

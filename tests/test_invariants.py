@@ -281,6 +281,45 @@ def test_casimir_c2_is_scaled_norm():
         assert c.c2 == pytest.approx((N - 1) * float(xi @ xi), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "N, xi, name",
+    [
+        (3, [0, 0, 0, 0, 0, 0, 0, 1e52], "c6 = inf"),  # c6 ~ xi^6 overflows
+        (3, [0, 0, 0, 0, 0, 0, 0, 1e200], "c2 = inf"),  # xi.xi itself overflows
+        (3, [0, 0, 0, 0, 0, 0, 0, math.nan], "c2 = nan"),
+        (2, [0, math.inf, 0], "c2 = inf"),
+    ],
+)
+def test_casimirs_refuse_an_invariant_leaving_float64(N, xi, name):
+    # refused by name, as the CLI words it, and under the suite's
+    # error::RuntimeWarning without a warning
+    with pytest.raises(ValueError, match=f"^invariant {name} leaves the float64 range$"):
+        casimirs(np.array(xi, dtype=float), algebra_tensors(N))
+
+
+def test_casimirs_screen_a_moderate_vector_by_c2_alone(monkeypatch):
+    # up to c2 = 1e50 nothing can overflow, so no errstate is entered; the
+    # worst directions are near the Cartan axes, where |xi v xi| is largest
+    def refuse(**kwargs):
+        raise AssertionError("errstate entered for a moderate xi")
+
+    rng = np.random.default_rng(13)
+    for N in range(2, 11):
+        tensors = algebra_tensors(N)
+        n = N * N - 1
+        directions = list(rng.normal(size=(4, n))) + [np.eye(n)[m * m - 2] for m in range(2, N + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(np, "errstate", refuse)
+            for xi in directions:
+                xi = xi * math.sqrt(1e50 / ((N - 1) * float(xi @ xi))) * (1.0 - 1e-15)
+                c = casimirs(xi, tensors)
+                assert c.c2 <= 1e50
+                assert all(math.isfinite(v) for v in c.as_dict().values())
+        # just above the screen the same vector is computed, and still finite
+        c = casimirs(xi * 1.001, tensors)
+        assert all(math.isfinite(v) for v in c.as_dict().values())
+
+
 def test_quatrit_casimirs_in_moduli():
     # diagonal quatrit states: c3 and c4 as cubic/quartic polynomials in
     # the three Cartan moduli

@@ -1,5 +1,7 @@
 """Tests for the su(N) basis, structure constants, weights and frames."""
 
+import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -11,8 +13,10 @@ import quditorbits.su_algebra as su_algebra
 from quditorbits.invariants import casimirs
 from quditorbits.state_space import haar_unitary
 from quditorbits.su_algebra import (
+    HERMITIAN_TOL,
     SPARSITY_THRESHOLD,
     BasisSet,
+    StructureTensors,
     algebra_tensors,
     basis_to_json,
     darboux_frame,
@@ -71,6 +75,18 @@ def rotated_basis(N, seed):
     u = haar_unitary(N, np.random.default_rng(seed))
     elements = u @ basis.elements @ u.conj().T
     return BasisSet(dim=N, elements=elements, cartan_indices=basis.cartan_indices)
+
+
+def complex_mixed_basis(s):
+    """su(3) with lam_1 and lam_4 mixed by the complex orthogonal rotation
+    [[cosh s, i sinh s], [-i sinh s, cosh s]]: orthonormal, with the
+    Hermiticity defect 2 sinh(s)."""
+    basis = gell_mann_basis(3)
+    mixed = basis.elements.copy()
+    l1, l4 = basis.element(1), basis.element(4)
+    mixed[0] = math.cosh(s) * l1 + 1j * math.sinh(s) * l4
+    mixed[3] = -1j * math.sinh(s) * l1 + math.cosh(s) * l4
+    return BasisSet(dim=3, elements=mixed, cartan_indices=basis.cartan_indices)
 
 
 def max_table_difference(a, b):
@@ -504,3 +520,140 @@ def test_library_paths_build_no_dense_tensor():
     tensors_to_json(t)
     assert "d_dense" not in vars(t) and "f_dense" not in vars(t)
     assert not t.d_values.flags.writeable and not t.d_index.flags.writeable
+
+
+def all_orderings_reference(basis):
+    """Test-only reference: the coordinate tables as the library built them
+    before it contracted only i <= j <= k.  T_abc = tr(lam_a lam_b lam_c)
+    for every ordered triple from the same two sparse joins, one generator
+    a at a time, d = Re T / 2 and f = Im T / 2 each thresholded, columns
+    sorted by (i, j, k).  Returns (d_index, d_values, f_index, f_values)."""
+    lam = basis.elements
+    n, N, _ = lam.shape
+    gen, row, col = np.nonzero(lam)
+    val = lam[gen, row, col]
+
+    def ranges(starts, counts):
+        owner = np.repeat(np.arange(counts.size), counts)
+        offsets = np.cumsum(counts) - counts
+        return owner, np.repeat(starts - offsets, counts) + np.arange(owner.size)
+
+    def sum_by_key(keys, weights):
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        real = np.bincount(inverse, weights=weights.real, minlength=uniq.size)
+        imag = np.bincount(inverse, weights=weights.imag, minlength=uniq.size)
+        return uniq, real + 1j * imag
+
+    by_row = np.argsort(row, kind="stable")
+    row_count = np.bincount(row, minlength=N)
+    row_start = np.cumsum(row_count) - row_count
+    pos = row * N + col
+    by_pos = np.argsort(pos, kind="stable")
+    pos_count = np.bincount(pos, minlength=N * N)
+    pos_start = np.cumsum(pos_count) - pos_count
+    keys, traces = [], []
+    for a in range(n):
+        first = np.flatnonzero(gen == a)
+        owner, idx = ranges(row_start[col[first]], row_count[col[first]])
+        e1, e2 = first[owner], by_row[idx]
+        pair_key = ((gen[e1] * n + gen[e2]) * N + row[e1]) * N + col[e2]
+        pair_key, pair = sum_by_key(pair_key, val[e1] * val[e2])
+        ab, x, z = pair_key // (N * N), (pair_key // N) % N, pair_key % N
+        where = z * N + x
+        owner, idx = ranges(pos_start[where], pos_count[where])
+        e3 = by_pos[idx]
+        k, t = sum_by_key(ab[owner] * n + gen[e3], pair[owner] * val[e3])
+        keys.append(k)
+        traces.append(t)
+    index = np.array(np.unravel_index(np.concatenate(keys), (n, n, n)))
+    traces = np.concatenate(traces)
+    tables = []
+    for values in (traces.real / 2.0, traces.imag / 2.0):
+        keep = np.abs(values) >= SPARSITY_THRESHOLD
+        tables += [index[:, keep], values[keep]]
+    return tuple(tables)
+
+
+def _cases(rotated, chunked):
+    """(basis, chunked) parameters: the standard basis at N = 2..10, then
+    the rotated bases at the N of rotated and, chunked, at those of chunked."""
+    cases = [pytest.param(gell_mann_basis(N), False, id=f"standard-{N}") for N in range(2, 11)]
+    for Ns, chunk, suffix in ((rotated, False, ""), (chunked, True, "-chunked")):
+        cases += [pytest.param(rotated_basis(N, seed=N), chunk, id=f"rotated-{N}{suffix}") for N in Ns]
+    return cases
+
+
+@pytest.mark.parametrize("basis, chunked", _cases(rotated=range(2, 7), chunked=(5, 6)))
+def test_canonical_triples_keep_the_all_orderings_bits(basis, chunked, monkeypatch):
+    # contracting i <= j <= k only sums the same products in the same order:
+    # the canonical entries, the maps and the JSON dump are the reference's bits
+    if chunked:
+        joins = _contract_in_chunks(monkeypatch)
+    t = structure_constants(basis)
+    if chunked:
+        assert len(joins) // 2 >= 10  # two joins per chunk
+    d_index, d_values, f_index, f_values = all_orderings_reference(basis)
+    for name, index, values in (("d", d_index, d_values), ("f", f_index, f_values)):
+        i, j, k = index
+        canonical = (i < j) & (j < k) if name == "f" else (i <= j) & (j <= k)
+        m = int(canonical.sum())
+        stored_index, stored_values = getattr(t, f"{name}_index"), getattr(t, f"{name}_values")
+        # the canonical block comes first, sorted, with the reference's bits
+        assert np.array_equal(stored_index[:, :m], index[:, canonical])
+        assert stored_values[:m].tobytes() == values[canonical].tobytes()
+        # the filled table covers the same ordered triples, each within rounding
+        assert stored_values.size == values.size
+        order = np.lexsort(stored_index[::-1])
+        assert np.array_equal(stored_index[:, order], index)
+        assert np.max(np.abs(stored_values[order] - values), initial=0.0) <= REFERENCE_TOL
+    reference = StructureTensors(
+        dim=basis.dim, d_index=d_index, d_values=d_values, f_index=f_index, f_values=f_values
+    )
+    assert json.dumps(tensors_to_json(t)) == json.dumps(tensors_to_json(reference))
+    assert t.d == reference.d and t.f == reference.f
+    # c2 is the same float; c3..c6 move by rounding in the vee sums alone
+    N = basis.dim
+    scale = math.sqrt(N * (N - 1) / 2.0)
+    for xi in np.random.default_rng(N).normal(size=(4, N * N - 1)):
+        got = np.array(list(casimirs(xi, t).as_dict().values()))
+        want = np.array(list(casimirs(xi, reference).as_dict().values()))
+        assert got[0] == want[0] == (N - 1) * float(xi @ xi)
+        size = (N - 1) * scale ** np.arange(5) * np.linalg.norm(xi) ** np.arange(2, 7)
+        assert np.all(np.abs(got - want) <= VEE_TOL * size)
+
+
+@pytest.mark.parametrize(
+    "basis, chunked",
+    _cases(rotated=(3, 4, 6), chunked=(6,))
+    # within the Hermiticity gate: Im T_abc with two equal indices reaches
+    # about 1e-11, above the sparsity threshold, yet f stores no such entry
+    + [pytest.param(complex_mixed_basis(4e-11), False, id="mixed-3-within-tolerance")],
+)
+def test_stored_tables_are_exactly_symmetric(basis, chunked, monkeypatch):
+    # every ordering of a triple holds the same bits: d totally symmetric,
+    # f totally antisymmetric, each ordered triple stored once
+    if chunked:
+        _contract_in_chunks(monkeypatch)
+    t = structure_constants(basis)
+    for name in ("d", "f"):
+        D = dense(t, name)
+        assert np.count_nonzero(D) == getattr(t, f"{name}_values").size
+        for perm in itertools.permutations(range(3)):
+            odd = su_algebra._permutation_sign(perm) < 0
+            sign = -1.0 if name == "f" and odd else 1.0
+            assert np.array_equal(D.transpose(perm), sign * D), (name, perm)
+
+
+def test_structure_constants_refuse_a_non_hermitian_basis():
+    # tr(l_i l_j) is still 2 delta_ij, but l_1 - l_1^dag = 2i sinh(s) lam_4,
+    # so T_acb = conj T_abc fails and the tables filled by symmetry would be
+    # wrong
+    s = 0.3
+    basis = complex_mixed_basis(s)
+    gram = np.einsum("aij,bji->ab", basis.elements, basis.elements)
+    assert np.max(np.abs(gram - 2.0 * np.eye(8))) < 1e-15
+    with pytest.raises(ValueError, match="basis is not Hermitian") as refusal:
+        structure_constants(basis)
+    reported = float(str(refusal.value).rsplit("= ", 1)[1])
+    assert reported == pytest.approx(2.0 * math.sinh(s), rel=1e-3)
+    assert reported > HERMITIAN_TOL

@@ -2,9 +2,11 @@
 
 Subcommands: basis, tensors, check, invariants, param, boundary, sample,
 figure.  Output is JSON on stdout unless --csv selects CSV (figure data
-defaults to CSV, the polyhedron report to JSON).  Exit codes: 0 success,
-1 parse or input error, 2 "valid run but the input is not a state" for
-`check`.
+defaults to CSV, the polyhedron report to JSON), one line per record:
+zero records print nothing.  Payloads hold no numpy type but np.float64,
+a float subclass, so plain json.dumps writes them.  Exit codes: 0
+success, 1 parse or input error, 2 "valid run but the input is not a
+state" for `check`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 
@@ -38,12 +39,6 @@ CHECK_CHUNK = 512
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _dumps(payload) -> str:
-    # default sees only what json cannot encode: numpy arrays, and numpy
-    # scalars other than np.float64, which subclasses float
-    return json.dumps(payload, default=lambda o: o.tolist())
-
-
 def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
@@ -53,7 +48,8 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 
 
 def _emit(lines, out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write each line with its newline: zero lines write nothing."""
+    text = "\n".join(lines) + "\n" if lines else ""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -86,7 +82,7 @@ def _verdict_line(is_state: bool, rank: int, stratum: str | None, margin: float)
 
 def _cmd_basis(args) -> int:
     basis = gell_mann_basis(args.N)
-    _emit([_dumps(basis_to_json(basis))], args.out)
+    _emit([json.dumps(basis_to_json(basis))], args.out)
     return 0
 
 
@@ -102,7 +98,7 @@ def _cmd_tensors(args) -> int:
                 )
         _emit(lines, args.out)
     else:
-        _emit([_dumps(tensors_to_json(tensors))], args.out)
+        _emit([json.dumps(tensors_to_json(tensors))], args.out)
     return 0
 
 
@@ -304,9 +300,11 @@ def _cmd_invariants(args) -> int:
         xi = st.to_bloch(rho)
     N = rho.shape[0]
     _require_dim(args.N, N)
+    # each number that leaves float64 is refused, by name, where it is made:
+    # t_k by the trace tuple, S_k by char_coefficients, disc by discriminant
+    # and c2..c6 by casimirs, so the record is strict JSON
     t = inv.trace_invariants(rho)
     S = inv.char_coefficients(t)
-    # a Casimir that leaves float64 is refused by casimirs itself
     casimirs = inv.casimirs(xi, algebra_tensors(N)).as_dict()
     record = {
         "N": N,
@@ -316,25 +314,8 @@ def _cmd_invariants(args) -> int:
         "bezoutian_rank": inv.bezoutian_rank(inv.bezoutian(t)),
         "casimirs": casimirs,
     }
-    _require_finite(record)
-    _emit([_dumps(record)], args.out)
+    _emit([json.dumps(record)], args.out)
     return 0
-
-
-def _require_finite(record: dict) -> None:
-    """Raise for the first NaN or infinite number of an invariants record,
-    naming its field (t_k, S_k, a Casimir c_k or disc): JSON has no token
-    for one."""
-    for key, value in record.items():
-        if type(value) is dict:
-            fields = value.items()
-        elif type(value) is list:
-            fields = ((f"{key}_{k}", v) for k, v in enumerate(value, 1))
-        else:
-            fields = [(key, value)]
-        for name, v in fields:
-            if not math.isfinite(v):
-                raise ValueError(f"invariant {name} = {v} leaves the float64 range")
 
 
 def _cmd_param(args) -> int:
@@ -366,7 +347,7 @@ def _cmd_param(args) -> int:
             "degenerate_angles": coords.degenerate_angles,
             "convention": coords.convention,
         }
-    _emit([_dumps(record)], args.out)
+    _emit([json.dumps(record)], args.out)
     return 0
 
 
@@ -380,7 +361,7 @@ def _cmd_boundary(args) -> int:
         report["rank3_cos_theta"] = orb.quatrit_rank3_cos_theta(r)
     for kind, radius in radii.items():
         report[f"effective_{kind.split('-in-')[0]}_radius"] = radius
-    _emit([_dumps(report)], args.out)
+    _emit([json.dumps(report)], args.out)
     return 0
 
 
@@ -394,7 +375,7 @@ def _cmd_sample(args) -> int:
             lines.append(",".join(_fmt(x) for x in xi))
     else:
         lines = [
-            _dumps({"N": args.N, "xi": list(st.to_bloch(rho))}) for rho in states
+            json.dumps({"N": args.N, "xi": list(st.to_bloch(rho))}) for rho in states
         ]
     _emit(lines, args.out)
     return 0
@@ -441,7 +422,7 @@ def _cmd_figure(args) -> int:
         else:
             report["figure"] = args.name
             report["convention"] = orb.ANGLE_CONVENTION
-            _emit([_dumps(report)], args.out)
+            _emit([json.dumps(report)], args.out)
         return 0
     columns, rows = _figure_rows(args.name, args.samples, args.seed, args.r)
     lines = [tag, ",".join(columns)]
@@ -549,7 +530,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -199,9 +199,11 @@ def _degeneracy_blocks(ordered: np.ndarray) -> list:
 def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
     """Classify the orbit through a point of the ordered domain.
 
-    The label lists equal-eigenvalue groups separated by bars (all-distinct
-    spectra get the compact regular label, e.g. O_123); the orbit dimension
-    is N^2 - sum of squared multiplicities.  The rank counts the ordered
+    The label lists equal-eigenvalue groups separated by bars, e.g. O_1|23
+    for r_1 > r_2 = r_3.  All-distinct spectra get the compact regular
+    label, O_123 at N = 3, and the one-block spectrum of I/N gets O_(123),
+    so no two orbit types share a label.  The orbit dimension is
+    N^2 - sum of squared multiplicities.  The rank counts the ordered
     eigenvalues above ZERO_TOL (at least 1), and the stratum is read off
     it by the rule of the positivity checks (state_space._stratum):
     "pure", "interior" at full rank, "boundary-rank-k" otherwise, and
@@ -215,10 +217,13 @@ def rank_strata(N: int, coords: OrbitCoordinates) -> StratumReport:
     ordered = spec.ordered
     blocks = _degeneracy_blocks(ordered)
     mults = tuple(len(b) for b in blocks)
-    if all(m == 1 for m in mults):
-        label = "O_" + "".join(str(i) for i in range(1, N + 1))
+    groups = ["".join(str(i) for i in b) for b in blocks]
+    if len(blocks) == 1:
+        label = f"O_({groups[0]})"
+    elif len(blocks) == N:
+        label = "O_" + "".join(groups)
     else:
-        label = "O_" + "|".join("".join(str(i) for i in b) for b in blocks)
+        label = "O_" + "|".join(groups)
     orbit_dim = N * N - int(sum(m * m for m in mults))
     rank = max(int(np.sum(ordered > ZERO_TOL)), 1)
     stratum = _stratum(spec.valid, rank, N) or "not-a-state"

@@ -431,6 +431,9 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
             except ValueError as exc:
                 errors[b] = exc
             else:
+                # reached only if a numpy build gives a flagged row other bits
+                # on the stacked path than on the single one: the single
+                # route's verdict is the row's
                 is_state[b], rank[b], margin[b] = v.is_state, v.rank, v.margin
     return is_state, rank, margin, errors
 

@@ -239,10 +239,12 @@ def test_check_huge_record_is_refused_like_single_shot_without_warning(capsys, m
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"xi": xi}) + "\n"))
         batch = invoke(capsys, "check")
         single = invoke(capsys, "check", "--xi", ",".join(repr(x) for x in xi))
+        invariants = invoke(capsys, "invariants", "--xi", ",".join(repr(x) for x in xi))
     assert caught == []
     message = "trace of power 2 leaves the float64 range\n"
     assert batch == (1, "", "line 1: " + message)
     assert single == (1, "", "error: " + message)
+    assert invariants == (1, "", "error: " + message)
 
 
 def _s4_overflow_xi() -> list:
@@ -290,22 +292,6 @@ def test_invariants_refuses_a_casimir_that_leaves_float64(capsys):
         "",
         "error: invariant c6 = inf leaves the float64 range\n",
     )
-
-
-@pytest.mark.parametrize(
-    "record, name",
-    [
-        ({"N": 3, "t": [1.0, math.inf, 0.1]}, "t_2 = inf"),
-        ({"N": 3, "S": [1.0, 0.3, math.nan]}, "S_3 = nan"),
-        ({"N": 3, "disc": -math.inf}, "disc = -inf"),
-        ({"N": 3, "casimirs": {"c2": 0.1, "c3": math.nan}}, "c3 = nan"),
-    ],
-)
-def test_invariants_record_names_its_first_non_finite_field(record, name):
-    with pytest.raises(ValueError, match=f"^invariant {name} leaves the float64 range$"):
-        cli._require_finite(record)
-    finite = {"N": 3, "t": [1.0, 0.5], "disc": 0.0, "casimirs": {"c2": 1e308}}
-    cli._require_finite(finite)
 
 
 # a verdict's margin is finite: S_k that leave float64 are refused
@@ -583,6 +569,8 @@ def test_param_requires_input(capsys):
     code, _, err = invoke(capsys, "param", "--N", "3")
     assert code == 1
     assert "spectrum" in err
+    code, out, err = invoke(capsys, "param", "--inverse", "--N", "3", "--angles", "2.0")
+    assert (code, out, err) == (1, "", "error: param --inverse needs --r\n")
 
 
 def test_param_inverse_needs_n(capsys):
@@ -640,6 +628,21 @@ def test_boundary_qutrit(capsys):
     assert record["effective_qubit_radius"] == pytest.approx(
         (2.0 / math.sqrt(3.0)) * math.sqrt(0.64 - 0.25)
     )
+    # at r = 0 the report is the point I/3, on no rank-deficient stratum:
+    # no rank2_phi and no effective radius
+    code, out, err = invoke(capsys, "boundary", "--N", "3", "--r", "0")
+    assert (code, err) == (0, "")
+    third = 1.0 / 3.0
+    assert json.loads(out) == {
+        "N": 3,
+        "r": 0.0,
+        "circle_radius": 0.0,
+        "center": [third] * 3,
+        "kind": "point",
+        "phi_range": None,
+        "arc_angle": 0.0,
+        "endpoints": [[third] * 3],
+    }
 
 
 def test_boundary_quatrit(capsys):
@@ -763,6 +766,31 @@ def test_figure_deterministic(capsys):
     _, out1, _ = invoke(capsys, *args)
     _, out2, _ = invoke(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["check"], "", ""),
+        (["check"], "\n  \n", ""),
+        (["check", "--N", "3"], "", ""),
+        (["sample", "--N", "3", "--count", "0"], "", ""),
+        # a CSV header is a line of its own
+        (["sample", "--N", "2", "--count", "0", "--csv"], "", "xi_1,xi_2,xi_3\n"),
+    ],
+    ids=["check", "check-blank-lines", "check-N", "sample", "sample-csv"],
+)
+def test_zero_records_print_nothing(tmp_path, capsys, monkeypatch, argv, stdin, expected, to_file):
+    # no record is no line, not one blank line
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    target = tmp_path / "out.txt"
+    code, out, err = invoke(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, err) == (0, "")
+    if to_file:
+        assert (out, target.read_text()) == ("", expected)
+    else:
+        assert out == expected
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

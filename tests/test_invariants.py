@@ -356,6 +356,10 @@ def test_traces_from_casimirs_matches_direct_traces():
             assert t2 == pytest.approx(t.t(2), abs=CHAIN_TOL)
             assert t3 == pytest.approx(t.t(3), abs=CHAIN_TOL)
             assert t4 == pytest.approx(t.t(4), abs=CHAIN_TOL)
+    c = casimirs(np.zeros(3), algebra_tensors(2))
+    for N in (1, 0):
+        with pytest.raises(ValueError, match=f"^need N >= 2, got {N}$"):
+            traces_from_casimirs(c, N)
 
 
 def test_pure_state_casimir_chain():
@@ -382,6 +386,9 @@ def test_qutrit_t3_bloch_along_cartan_axis():
         xi[7] = r
         expected = 1.0 / 9.0 + (2.0 / 3.0) * r * r - (2.0 / 9.0) * r ** 3
         assert qutrit_t3_bloch(xi) == pytest.approx(expected, abs=1e-12)
+    for shape in ((3,), (15,), (2, 8)):
+        with pytest.raises(ValueError, match=f"must have 8 components, got {re.escape(str(shape))}$"):
+            qutrit_t3_bloch(np.zeros(shape))
 
 
 def test_qutrit_t3_bloch_matches_direct():
@@ -434,6 +441,13 @@ def test_quatrit_trace_from_angles_matches_direct():
 
 
 def test_trace_invariants_range_errors():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        trace_invariants(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
+        trace_invariants(np.full(4, 0.25))
+    for upto in (0, -1):
+        with pytest.raises(ValueError, match=f"^need at least t_1, got upto={upto}$"):
+            trace_invariants(diag_state(0.5, 0.5), upto=upto)
     t = trace_invariants(diag_state(0.5, 0.5))
     with pytest.raises(ValueError):
         t.t(3)

@@ -58,6 +58,9 @@ def test_unit_vector_shapes_and_values():
 def test_unit_vector_wrong_angle_count():
     with pytest.raises(ValueError):
         unit_vector(4, [1.0])
+    for N in (1, 0):
+        with pytest.raises(ValueError, match="^need N >= 2$"):
+            unit_vector(N, [])
 
 
 def test_pure_qutrit_at_phi_half_pi():
@@ -132,6 +135,9 @@ def test_maximally_mixed_is_degenerate():
 
 
 def test_orbit_from_spectrum_validation():
+    for spectrum in ([1.0], []):
+        with pytest.raises(ValueError, match="^need N >= 2$"):
+            orbit_from_spectrum(np.array(spectrum))
     with pytest.raises(ValueError):
         orbit_from_spectrum(np.array([0.2, 0.5, 0.3]))  # not descending
     with pytest.raises(ValueError):
@@ -189,9 +195,46 @@ def test_rank_strata_pure_qutrit():
 
 def test_rank_strata_maximally_mixed():
     rep = rank_strata(3, coords(3, 0.0, 0.0))
+    assert rep.label == "O_(123)"
     assert rep.multiplicities == (3,)
     assert rep.orbit_dimension == 0
     assert rep.stratum == "interior"
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {(0.7, 0.3): "O_12", (0.5, 0.5): "O_(12)"},
+        {
+            (0.5, 0.3, 0.2): "O_123",
+            (0.4, 0.3, 0.3): "O_1|23",
+            (0.4, 0.4, 0.2): "O_12|3",
+            (1 / 3, 1 / 3, 1 / 3): "O_(123)",
+        },
+        {
+            (0.4, 0.3, 0.2, 0.1): "O_1234",
+            (0.4, 0.2, 0.2, 0.2): "O_1|234",
+            (0.3, 0.3, 0.3, 0.1): "O_123|4",
+            (0.3, 0.3, 0.2, 0.2): "O_12|34",
+            (0.4, 0.3, 0.3, 0.0): "O_1|23|4",
+            (0.25, 0.25, 0.25, 0.25): "O_(1234)",
+        },
+    ],
+    ids=["N=2", "N=3", "N=4"],
+)
+def test_rank_strata_labels_each_orbit_type_once(labels):
+    # the one-block spectrum I/N is labeled apart from the regular orbit
+    for spectrum, label in labels.items():
+        N = len(spectrum)
+        rep = rank_strata(N, orbit_from_spectrum(np.array(spectrum)))
+        assert rep.label == label
+        assert rep.orbit_dimension == N * N - sum(m * m for m in rep.multiplicities)
+    assert len(set(labels.values())) == len(labels)
+
+
+def test_rank_strata_refuses_coordinates_of_another_dimension():
+    with pytest.raises(ValueError, match="^coordinates are for N=3, requested N=4$"):
+        rank_strata(4, coords(3, 0.3, math.pi))
 
 
 def test_rank_strata_on_rank2_curve():
@@ -447,6 +490,18 @@ def test_intersection_arc_qutrit():
     # truncated endpoint has a zero eigenvalue
     assert big["endpoints"][1][2] == pytest.approx(0.0, abs=1e-12)
 
+    third = 1.0 / 3.0
+    assert intersection_polyhedron(3, 0.0) == {
+        "N": 3,
+        "r": 0.0,
+        "circle_radius": 0.0,
+        "center": [third] * 3,
+        "kind": "point",
+        "phi_range": None,
+        "arc_angle": 0.0,
+        "endpoints": [[third] * 3],
+    }
+
 
 def test_intersection_arc_ends_on_simplex_edges():
     # phi_lo = pi/2 on the edge v_1 v_3 (r_2 = r_3); phi_hi = 3pi/2 on the
@@ -489,6 +544,9 @@ def test_intersection_polyhedron_vertices_valid():
 
 
 def test_polyhedron_transition_radii():
+    for N in (3, 5):
+        with pytest.raises(ValueError, match="^transition radii are only classified for N = 4$"):
+            polyhedron_transition_radii(N)
     lo, hi = polyhedron_transition_radii(4)
     assert lo == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert hi == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)

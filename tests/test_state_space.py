@@ -100,6 +100,10 @@ def test_pure_state_bloch_norm_is_one():
 
 
 def test_to_bloch_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+        to_bloch(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="need N >= 2"):
+        to_bloch(np.ones((1, 1)))
     with pytest.raises(ValueError):
         to_bloch(np.diag([1.0, 1.0]).astype(complex))  # trace 2
     with pytest.raises(ValueError):
@@ -213,6 +217,10 @@ def test_jacobi_stack_rejects_non_hermitian_member():
     for bad in (stack, stack[2], np.diag([np.inf, 0.5])):
         with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
             jacobi_eigh(bad)
+    # neither one square matrix nor a stack of them
+    for shape in ((3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)):
+        with pytest.raises(ValueError, match="square matrix or a stack of them"):
+            jacobi_eigh(np.zeros(shape))
 
 
 def test_one_hermiticity_tolerance_on_every_route():
@@ -665,6 +673,35 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
                 assert refused == _numpy_trace_screen(np.array(single)).tolist(), name
 
 
+@pytest.mark.parametrize("N", [3, 5])
+def test_stacked_core_copies_the_single_verdict_of_a_row_it_flags(monkeypatch, N):
+    # a row whose stacked S is NaN but whose single-route S is finite, as a
+    # numpy build that gave the two paths other bits would make it: the
+    # stacked pass flags the row, and the single route's verdict fills its
+    # columns, for Bloch rows and matrices alike
+    rng = np.random.default_rng(N)
+    rhos = sample_states(N, 6, seed=N)
+    rhos[1] = np.diag(np.r_[1.0, np.zeros(N - 1)])  # pure
+    rhos[3] = random_hermitian_unit_trace(N, rng)  # generically no state
+    xis = np.array([to_bloch(rho) for rho in rhos])
+    newton = state_space._newton_coefficients
+
+    def nan_rows(T):
+        S = newton(T)
+        S[1::2] = np.nan
+        return S
+
+    monkeypatch.setattr(state_space, "_newton_coefficients", nan_rows)
+    expected = [check_state_bloch(xi) for xi in xis]
+    assert [v.is_state for v in expected] == [True] * 3 + [False] + [True] * 2
+    for stack in (xis, rhos):
+        is_state, rank, margin, errors = state_space._stack_columns(stack, N, POSITIVITY_TOL)
+        assert errors == {}
+        assert list(zip(is_state, rank, margin)) == [(v.is_state, v.rank, v.margin) for v in expected]
+    assert check_states_bloch(xis) == expected
+    assert check_states(rhos) == [check_state_bloch(to_bloch(rho)) for rho in rhos]
+
+
 def test_one_tuple_trace_screen_flags_what_the_stacked_mask_flags():
     # _refused on a Python complex and on an array, and numpy's statement
     # of the mask, agree on each side of the residue threshold
@@ -778,6 +815,12 @@ def test_stacked_check_sizes():
         check_states_bloch(np.zeros((2, 7)))
     with pytest.raises(ValueError, match="need N >= 2"):
         check_states(np.ones((2, 1, 1)))
+    for shape in ((8,), (2, 3, 8)):
+        with pytest.raises(ValueError, match=r"\(B, N\^2 - 1\) array"):
+            check_states_bloch(np.zeros(shape))
+    for shape in ((3, 3), (2, 3, 4), (1, 2, 3, 3)):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            check_states(np.zeros(shape))
 
 
 def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
@@ -986,6 +1029,20 @@ def test_sample_states_deterministic():
 def test_sample_states_unknown_mode():
     with pytest.raises(ValueError):
         sample_states(3, 5, mode="nope")
+    # and the dimension and count are checked before any mode
+    with pytest.raises(ValueError, match="need N >= 2"):
+        sample_states(1, 5)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_states(3, -1)
+    assert sample_states(3, 0).shape == (0, 3, 3)
+
+
+def test_rejection_sampler_gives_up_after_its_try_budget(monkeypatch):
+    # the state set fills a vanishing share of the N = 5 Bloch ball, so
+    # two tries, seeded, find no state
+    monkeypatch.setattr(state_space, "REJECTION_MAX_TRIES", 2)
+    with pytest.raises(RuntimeError, match="^rejection sampler found no state in 2 tries at N=5$"):
+        sample_states(5, 1, mode="bloch-rejection", seed=0)
 
 
 def test_positivity_tolerance_is_respected():

@@ -100,6 +100,13 @@ def test_basis_counts_and_cartan_positions():
         basis = gell_mann_basis(N)
         assert basis.size == N * N - 1
         assert basis.cartan_indices == tuple(m * m - 1 for m in range(2, N + 1))
+        # 1-based indices, refused outside their range
+        for i in (0, N * N):
+            with pytest.raises(ValueError, match=f"^generator index {i} outside 1..{N * N - 1}$"):
+                basis.element(i)
+        for k in (0, N):
+            with pytest.raises(ValueError, match=f"^Cartan index {k} outside 1..{N - 1}$"):
+                basis.cartan(k)
 
 
 def test_qubit_basis_is_pauli():
@@ -205,6 +212,15 @@ def test_weight_examples():
 
     w4 = weight_vectors(4).weights
     assert np.max(np.abs(w4[3] - np.array([0.0, 0.0, -3.0 / (2.0 * math.sqrt(6.0))]))) < ORTHO_TOL
+
+    # weight(i) is the i-th row, 1-based, and refuses an index outside 1..N
+    system = weight_vectors(3)
+    for i in (1, 2, 3):
+        assert np.array_equal(system.weight(i), system.weights[i - 1])
+        assert np.max(np.abs(system.weight(i) - expected3[i - 1])) < ORTHO_TOL
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"^state index {i} outside 1..3$"):
+            system.weight(i)
 
 
 def test_weight_identities():

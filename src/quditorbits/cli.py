@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import re
 import sys
@@ -265,6 +266,7 @@ def _stdin_chunks():
 
 def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else st.POSITIVITY_TOL
+    st._require_finite_tolerance(tol)  # before stdin is read
     if args.xi is not None:
         xis, _ = _read_states("xi", [{"xi": _parse_floats(args.xi, "--xi")}], args.N)
         v = st.check_state_bloch(xis[0], tol)
@@ -276,7 +278,18 @@ def _cmd_check(args) -> int:
     any_invalid = False
     parse_failures = 0
     for chunk in _stdin_chunks():
-        chunk_lines, failures, chunk_invalid = _check_chunk(chunk, args.N, tol)
+        # A chunk's parsed records are JSON trees, which reference counting
+        # frees; the cyclic collector would only re-walk them, several
+        # times a chunk.  It is paused per chunk, not for the stream, so a
+        # cycle made meanwhile (a parse failure's traceback) is collected
+        # between chunks; the caller's setting is restored.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            chunk_lines, failures, chunk_invalid = _check_chunk(chunk, args.N, tol)
+        finally:
+            if enabled:
+                gc.enable()
         lines += chunk_lines
         any_invalid = any_invalid or chunk_invalid
         for lineno, exc in failures:

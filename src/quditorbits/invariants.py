@@ -202,18 +202,49 @@ def _power_traces(rho: np.ndarray, upto: int):
     for trace_invariants and check_states_bloch alike, and _refused's mask
     of the traces trace_invariants refuses.  A stack gets the complex
     (upto, ...) traces, power first, and the mask as arrays; one matrix
-    gets them as lists of Python complex numbers and bools.  Powers that
-    overflow raise no RuntimeWarning.
+    gets them as lists of Python complex numbers and bools.  Each trace is
+    _diagonal_sum of its power's diagonal, on Python complex numbers for
+    one matrix and on the stack's diagonal columns, so a stacked trace
+    equals its matrix's bit for bit by construction.  Powers that overflow
+    raise no RuntimeWarning.
     """
     powers = np.empty((upto,) + rho.shape, dtype=complex)
     powers[0] = rho
     for k in range(1, upto):
         np.matmul(powers[k - 1], rho, out=powers[k])
-    tk = powers.trace(axis1=-2, axis2=-1)
     if rho.ndim == 2:
-        tk = tk.tolist()
+        tk = [*map(_diagonal_sum, powers.diagonal(axis1=1, axis2=2).tolist())]
         return tk, [*map(_refused, tk)]
+    tk = _diagonal_sum([powers[..., i, i] for i in range(rho.shape[-1])])
     return tk, _refused(tk)
+
+
+def _diagonal_sum(lanes: list):
+    """0 + the sum of N diagonal lanes, in the order of numpy's add.reduce
+    (its pairwise sum), so that it equals ndarray.trace bit for bit: the
+    lanes are Python complex numbers for one matrix, or equal-shape
+    complex columns for a stack.  Fewer than 4 terms are added in order;
+    up to 64 keep 4 running sums over blocks of 4, combined as
+    (r0 + r1) + (r2 + r3), before the tail is added in order; above 64 the
+    lanes split at N // 2 rounded down to a multiple of 4, each half summed
+    so.  Adding 0 turns a -0.0 sum into 0.0, as the trace does; where it
+    comes first rather than last changes the sign of a zero partial sum
+    alone, and so no bit of the result."""
+    n = len(lanes)
+    if n > 64:
+        half = n // 2 - n // 2 % 4
+        return _diagonal_sum(lanes[:half]) + _diagonal_sum(lanes[half:])
+    if n < 4:
+        total, head = 0, 0
+    else:
+        r0, r1, r2, r3 = lanes[:4]
+        head = n - n % 4
+        for i in range(4, head, 4):
+            r0, r1, r2, r3 = r0 + lanes[i], r1 + lanes[i + 1], r2 + lanes[i + 2], r3 + lanes[i + 3]
+        total = 0 + ((r0 + r1) + (r2 + r3))
+    for lane in lanes[head:]:
+        total = total + lane
+    return total
 
 
 def _refused(t):

@@ -113,7 +113,9 @@ def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
     coordinates lie in the ordered domain); `ordered` is sorted, and
     `valid` flags nonnegativity of the smallest eigenvalue.  A negative,
     NaN or infinite radius is no orbit coordinate and raises; a finite
-    radius above 1 gives a tuple that is not `valid`.
+    radius above 1 gives a tuple that is not `valid`, and one so large
+    that an eigenvalue leaves float64 raises, naming the first, without a
+    RuntimeWarning.
     """
     N = coords.dim
     if not coords.radius >= 0.0:
@@ -122,7 +124,12 @@ def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
         raise ValueError(f"orbit radius must be finite, got {coords.radius}")
     n = unit_vector(N, coords.angles)
     mu = weight_vectors(N).weights
-    raw = 1.0 / N + math.sqrt(2.0 * (N - 1) / N) * coords.radius * (mu @ n)
+    # the scaled radius may overflow to inf, and inf * 0 is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = 1.0 / N + math.sqrt(2.0 * (N - 1) / N) * coords.radius * (mu @ n)
+    if not np.isfinite(raw).all():
+        i = int(np.isfinite(raw).argmin())
+        raise ValueError(f"eigenvalue r_{i + 1} of orbit radius {coords.radius} leaves the float64 range")
     ordered = np.sort(raw)[::-1]
     return OrbitSpectrum(raw=raw, ordered=ordered, valid=bool(ordered[-1] >= -ORDER_TOL))
 
@@ -150,9 +157,14 @@ def orbit_from_spectrum(spectrum) -> OrbitCoordinates:
     N = len(spectrum)
     if N < 2:
         raise ValueError("need N >= 2")
-    if not abs(spectrum.sum() - 1.0) <= TRACE_TOL:  # not >, so that NaN fails
-        raise ValueError(f"spectrum sums to {spectrum.sum()}, expected 1")
-    if np.any(np.diff(spectrum) > 1e-10):
+    # without a RuntimeWarning: a sum or difference past float64 is a signed
+    # inf, and inf - inf a NaN, which the sum test refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = spectrum.sum()
+        ascending = np.diff(spectrum) > 1e-10
+    if not abs(total - 1.0) <= TRACE_TOL:  # not >, so that NaN fails
+        raise ValueError(f"spectrum sums to {total}, expected 1")
+    if ascending.any():
         raise ValueError("spectrum must be sorted in descending order")
 
     moduli = cartan_moduli(spectrum)

@@ -31,10 +31,13 @@ rank and margin, plus the ValueError of each row that has one.  The
 Bloch map and its projection are real einsums against the basis as an
 (N^2 - 1, N, 2N) table of (re, im) pairs (a view of its elements), which
 keep the bits of the complex products with the generators and skip the
-projection's imaginary half.  The recursion, the rank rule and the
-margin make only elementwise IEEE operations, in one order, on Python
-floats for one input and on columns for a stack, so each verdict equals
-check_state_bloch's bit for bit on any numpy build.  The core makes no
+projection's imaginary half.  Each trace, of a power or of an input
+matrix for the unit-trace gate, is summed off the diagonal by
+invariants._diagonal_sum in the order of numpy's add.reduce; that sum,
+the recursion, the rank rule and the margin make only elementwise IEEE
+operations, in one order, on Python numbers for one input and on
+columns for a stack, so each verdict equals check_state_bloch's bit for
+bit on any numpy build, traces included, by construction.  The core makes no
 per-row input check of its own: it flags the rows that from_bloch,
 to_bloch or trace_invariants would reject and hands each to the
 single-input route, which returns its verdict or
@@ -70,6 +73,7 @@ from .invariants import (
     HERMITIAN_TOL,
     TraceInvariants,
     _backward_dot,
+    _diagonal_sum,
     _hermitian_defect,
     _newton_coefficients,
     _power_traces,
@@ -190,8 +194,12 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     N = rho.shape[0]
     if N < 2:
         raise ValueError("need N >= 2")
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= TRACE_TOL:  # not >, so that a NaN entry fails
+    tr = _diagonal_sum(rho.diagonal().tolist())
+    try:
+        defect = abs(tr - 1.0)
+    except OverflowError:  # |tr - 1| leaves float64
+        defect = math.inf
+    if not defect <= TRACE_TOL:  # not >, so that a NaN entry fails
         raise ValueError(f"matrix trace {tr} is not 1 within {TRACE_TOL}")
     _require_hermitian(rho)
     return _bloch_projection(rho, N)
@@ -315,12 +323,21 @@ def _rank_from_ratios(S: list, t: list, tol: float):
     return rank
 
 
+def _require_finite_tolerance(tol: float) -> None:
+    """Raise unless the positivity tolerance is finite: a NaN or -inf tol
+    fails every matrix, and +inf passes every one as pure."""
+    if not math.isfinite(tol):
+        raise ValueError(f"positivity tolerance {tol} is not finite")
+
+
 def _s_test(S: np.ndarray, T: np.ndarray, tol: float) -> tuple:
     """The S_k test min_k S_k >= -tol and _rank_from_ratios' rank, for (N,)
     or (B, N) arrays of S_1..S_N and t_1..t_N: (passes, rank, margin), the
     margin being the smallest S_k.  Both run on floats or columns; of equal
     S_k the margin is the last, as numpy's sequential minimum takes it, so
-    a tie of 0.0 and -0.0 reads alike on both."""
+    a tie of 0.0 and -0.0 reads alike on both.  A NaN or infinite tol
+    raises."""
+    _require_finite_tolerance(tol)
     if S.ndim == 1:
         S, T = S.tolist(), T.tolist()
         margin = min(reversed(S))
@@ -420,7 +437,7 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
         rejected = refused.any(axis=0) | ~np.isfinite(S).all(axis=1)
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
         if matrices:
-            tr = np.trace(stack, axis1=1, axis2=2)
+            tr = _diagonal_sum([stack[:, i, i] for i in range(N)])
             # negated <= so that a NaN trace or defect flags its matrix too
             ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(stack) <= HERMITIAN_TOL)
             flagged.update((b, stack[b]) for b in np.flatnonzero(~ok).tolist())

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via run(argv)."""
 
+import gc
 import io
 import json
 import math
@@ -77,6 +78,17 @@ def test_check_bad_xi_exits_1(capsys):
             None,
             "error: orbit angles must be finite, got [inf]",
         ),
+        (["check", "--tol", "nan", "--xi", "0,0,0"], None, "error: positivity tolerance nan is not finite"),
+        # refused before stdin is read: an empty stream is refused too
+        (["check", "--tol", "inf"], "", "error: positivity tolerance inf is not finite"),
+        (
+            ["param", "--inverse", "--N", "3", "--r", "1.7e308", "--angles", "2"],
+            None,
+            "error: eigenvalue r_1 of orbit radius 1.7e+308 leaves the float64 range",
+        ),
+        # finite entries whose differences and sums leave float64
+        (["param", "--spectrum", "1e308,-1e308,1"], None, "error: spectrum must be sorted in descending order"),
+        (["param", "--spectrum", "1e308,1e308,-1e308"], None, "error: spectrum sums to inf, expected 1"),
     ],
 )
 def test_non_finite_input_is_refused(capsys, monkeypatch, argv, stdin, message):
@@ -87,6 +99,45 @@ def test_non_finite_input_is_refused(capsys, monkeypatch, argv, stdin, message):
         code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_batch_check_pauses_the_collector_per_chunk(capsys, monkeypatch, enabled):
+    # each chunk is classified with the cyclic collector paused, and the
+    # caller's setting is back between chunks and after the run
+    monkeypatch.setattr(cli, "CHECK_CHUNK", 2)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"xi": [0.1, 0, 0]}\n' * 5))
+    check_chunk, seen = cli._check_chunk, []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return check_chunk(*args)
+
+    monkeypatch.setattr(cli, "_check_chunk", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, out, _ = invoke(capsys, "check")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert (code, len(out.splitlines())) == (0, 5)
+    assert seen == [False] * 3
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_batch_check_restores_the_collector_when_a_chunk_raises(capsys, monkeypatch, enabled):
+    def failing(*args):
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(cli, "_check_chunk", failing)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"xi": [0.1, 0, 0]}\n'))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = invoke(capsys, "check")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert result == (1, "", "error: chunk failed\n")
 
 
 def test_check_xi_length_disagreeing_with_n_exits_1(capsys):

@@ -2,6 +2,7 @@
 simplex-sphere intersections."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,12 @@ def test_orbit_from_spectrum_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="spectrum sums to"):
             orbit_from_spectrum(np.array([bad, 0.5, 0.5]))
+    # differences and sums past float64 are refused without a RuntimeWarning
+    with pytest.raises(ValueError, match="^spectrum must be sorted in descending order$"):
+        orbit_from_spectrum(np.array([1e308, -1e308, 1.0]))
+    for spectrum in ([1e308, 1e308, -1e308], [np.inf, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="^spectrum sums to inf, expected 1$"):
+            orbit_from_spectrum(np.array(spectrum))
 
 
 def test_spectrum_from_orbit_refuses_non_finite_coordinates():
@@ -152,6 +159,13 @@ def test_spectrum_from_orbit_refuses_non_finite_coordinates():
         spectrum_from_orbit(coords(3, math.inf, 2.0))
     with pytest.raises(ValueError, match=r"orbit angles must be finite, got \[0.5, nan\]"):
         spectrum_from_orbit(coords(4, 0.5, 0.5, math.nan))
+    # a finite radius whose spectrum leaves float64, without a RuntimeWarning
+    # (inf * 0 where n has a zero component)
+    for N, radius, angles in ((3, 1.7e308, (2.0,)), (4, 1.5e308, (2.0, 1.0)), (3, 1.7e308, (0.0,))):
+        message = f"eigenvalue r_1 of orbit radius {radius} leaves the float64 range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spectrum_from_orbit(coords(N, radius, *angles))
+    assert np.isfinite(spectrum_from_orbit(coords(3, 1.5e308, 2.0)).raw).all()
 
 
 def test_ordered_domain_boundaries_qutrit():

@@ -116,6 +116,14 @@ def test_to_bloch_rejects_bad_input():
     # inf - inf on the diagonal is a NaN trace, refused without a RuntimeWarning
     with pytest.raises(ValueError, match=r"trace \(nan\+0j\)"):
         to_bloch(np.diag([np.inf, -np.inf]))
+    # finite parts whose |tr - 1| leaves float64: refused, not an OverflowError,
+    # alone and in a stack
+    huge = np.diag([1.7e308 + 1.7e308j, 0.0])
+    message = r"^matrix trace \(1\.7e\+308\+1\.7e\+308j\) is not 1 within 1e-10$"
+    with pytest.raises(ValueError, match=message):
+        to_bloch(huge)
+    [refused] = check_states(huge[np.newaxis])
+    assert re.match(message, str(refused))
 
 
 def test_from_bloch_names_a_non_finite_component():
@@ -673,6 +681,38 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
                 assert refused == _numpy_trace_screen(np.array(single)).tolist(), name
 
 
+@pytest.mark.parametrize("N", [*range(2, 21), 63, 64, 65, 100, 130])
+def test_diagonal_sum_is_the_trace_bit_for_bit(N):
+    # on one matrix's Python complex numbers and on a stack's diagonal
+    # columns, _diagonal_sum adds in the order of numpy's add.reduce, so it
+    # equals ndarray.trace: for diagonals of magnitude 1e-8 to 1e8, signed
+    # zeros and, past float64, infinities and NaNs
+    rng = np.random.default_rng(2500 + N)
+    for shape in ((N, N), (3, N), (N, 2, N)):  # of (N, N, N), (B, N, N) and (N, B, N, N) stacks
+        parts = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-8, 8, (2,) + shape)
+        zeros = np.where(rng.random(parts.shape) < 0.5, -0.0, 0.0)
+        special = rng.choice([np.inf, -np.inf, np.nan], size=parts.shape)
+        diagonals = {
+            "finite": parts,
+            "-0.0": np.full_like(parts, -0.0),
+            "signed zeros": zeros,
+            "some zeros": np.where(rng.random(parts.shape) < 0.5, zeros, parts),
+            "non-finite": np.where(rng.random(parts.shape) < 0.1, special, parts),
+            "inf - inf": np.where(rng.random(parts.shape) < 0.3, np.sign(parts) * np.inf, parts),
+        }
+        for name, (re_part, im_part) in diagonals.items():
+            diagonal = np.empty(shape, dtype=complex)
+            diagonal.real, diagonal.imag = re_part, im_part
+            stack = np.zeros(shape + (N,), dtype=complex)
+            stack[..., np.arange(N), np.arange(N)] = diagonal
+            with np.errstate(invalid="ignore"):  # inf - inf
+                trace = stack.trace(axis1=-2, axis2=-1)
+                lanes = invariants._diagonal_sum([stack[..., i, i] for i in range(N)])
+                single = [invariants._diagonal_sum(row) for row in diagonal.reshape(-1, N).tolist()]
+            assert _same_bits(lanes, trace), (name, shape)
+            assert _same_bits(np.array(single), trace.ravel()), (name, shape)
+
+
 @pytest.mark.parametrize("N", [3, 5])
 def test_stacked_core_copies_the_single_verdict_of_a_row_it_flags(monkeypatch, N):
     # a row whose stacked S is NaN but whose single-route S is finite, as a
@@ -1052,3 +1092,19 @@ def test_positivity_tolerance_is_respected():
     assert check_state_bloch(to_bloch(rho)).is_state
     rho_bad = np.diag([1.0 + 1e-6, -1e-6, 0.0]).astype(complex)
     assert not check_state_bloch(to_bloch(rho_bad)).is_state
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_every_check_refuses_a_non_finite_tolerance(tol):
+    # a NaN tol failed every S_k test, an infinite one passed every matrix
+    rho = np.eye(3, dtype=complex) / 3
+    xi = to_bloch(rho)
+    checks = [
+        (check_state_bloch, xi),
+        (check_state_traces, trace_invariants(rho)),
+        (check_states_bloch, xi[np.newaxis]),
+        (check_states, rho[np.newaxis]),
+    ]
+    for check, states in checks:
+        with pytest.raises(ValueError, match=f"^positivity tolerance {tol} is not finite$"):
+            check(states, tol)

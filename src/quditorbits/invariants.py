@@ -10,8 +10,12 @@ A trace tuple (TraceInvariants) forms S, B, det B and the certificate
 at most once, so a caller that asks for one twice, as the trace route's
 check followed by discriminant does for S and B, pays for it once.  The
 traces of a matrix are screened once, by one rule (_refused) on one
-matrix's Python complex numbers and on a stack's arrays alike; the tuple
-built from them skips the finiteness screen that any other tuple meets.
+matrix's Python complex numbers and on a stack's arrays alike, and come
+out of _screened as Python floats; the tuple built from them skips the
+finiteness screen that any other tuple meets.  One tuple's S_k, Newton
+extension and verdict are formed on those floats, converted once per
+tuple, and check_state_bloch runs the same helpers on a matrix's floats
+without building a tuple at all.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -57,35 +61,53 @@ class TraceInvariants:
 
     values[k-1] holds t_k; t_0 = N by convention.  values is the tuple's
     own read-only float64 copy of what it was built from (an array, a
-    tuple or a list), so the tuple never changes; a NaN or infinite value
-    is refused when the tuple is built, naming the lowest such t_k.  That
-    makes its derived invariants safe to keep: S_1..S_N, the Bezoutian
+    tuple or a list), so the tuple never changes.  A dim that is not an
+    int >= 1, values that are not one-dimensional, and a NaN or infinite
+    value, named by the lowest such t_k, are refused when the tuple is
+    built.  The traces are also held as Python floats, converted once, on
+    which S_1..S_N, the Newton extension and the trace route's verdict are
+    formed.  That makes its derived invariants safe to keep: S_1..S_N (as
+    floats, and as char_coefficients' read-only array), the Bezoutian
     (read off newton_extend, a tuple, so finite) and its determinant are
-    each formed at most once per tuple, on first use by char_coefficients,
-    bezoutian or discriminant, and handed out read-only; so is the trace
-    route's test that B is positive semidefinite.
+    each formed at most once per tuple, on first use, and handed out
+    read-only; so is the trace route's test that B is positive
+    semidefinite.
     """
 
     dim: int
     values: np.ndarray
+    _t: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if not all(map(math.isfinite, values.tolist())):
-            k = int(np.isfinite(values).argmin())
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"values must be a one-dimensional sequence of reals: {exc}") from None
+        if values.ndim != 1:
+            raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
+        floats = values.tolist()
+        if not all(map(math.isfinite, floats)):
+            k = [*map(math.isfinite, floats)].index(False)
             raise ValueError(f"trace t_{k + 1} = {values[k]} is not finite")
         values.flags.writeable = False
+        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_t", floats)
 
     @classmethod
     def _of_finite(cls, dim: int, values: list) -> TraceInvariants:
-        """The tuple of a list of floats already screened finite, as
-        _trace_tuple's traces are: built without __post_init__'s screen."""
+        """The tuple of N = dim >= 1 and a list of Python floats already
+        screened finite, as _screened's traces and newton_extend's are:
+        built without __post_init__'s checks, on the list itself."""
         t = cls.__new__(cls)
-        values = np.array(values)
-        values.flags.writeable = False
+        array = np.array(values)
+        array.flags.writeable = False
         object.__setattr__(t, "dim", dim)
-        object.__setattr__(t, "values", values)
+        object.__setattr__(t, "values", array)
+        object.__setattr__(t, "_t", values)
         return t
 
     @property
@@ -97,22 +119,27 @@ class TraceInvariants:
             return float(self.dim)
         if not 1 <= k <= self.order:
             raise ValueError(f"t_{k} not available (have t_1..t_{self.order})")
-        return float(self.values[k - 1])
+        return self._t[k - 1]
 
     @cached_property
-    def _S(self) -> np.ndarray:
-        S = _newton_coefficients(self.values[: self.dim])
-        # S_N is finite only if every S_k is (S_k enters S_{k+1} as S_k t_1)
-        if not math.isfinite(S[-1]):
-            k = int(np.isfinite(S).argmin()) + 1
-            raise ValueError(f"characteristic coefficient S_{k} leaves the float64 range")
+    def _S(self) -> list:
+        """S_1..S_N as Python floats, by _newton on the tuple's t_1..t_N."""
+        if self.order < self.dim:
+            raise ValueError(
+                f"need t_1..t_{self.dim} to form S_1..S_{self.dim}, have order {self.order}"
+            )
+        return _finite_coefficients(_newton(self._t[: self.dim]))
+
+    @cached_property
+    def _S_array(self) -> np.ndarray:
+        S = np.array(self._S)
         S.flags.writeable = False
         return S
 
     @cached_property
     def _bezoutian(self) -> np.ndarray:
-        ext = newton_extend(self, 2 * self.dim - 2).values
-        B = np.concatenate(([float(self.dim)], ext))[_hankel(self.dim)[0]]
+        ext = newton_extend(self, 2 * self.dim - 2)._t  # t_1..t_{2N-2}
+        B = np.array([float(self.dim), *ext])[_hankel(self.dim)[0]]
         B.flags.writeable = False
         return B
 
@@ -186,14 +213,21 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
 def _trace_tuple(rho: np.ndarray, upto: int) -> TraceInvariants:
     """trace_invariants of a complex N x N matrix that is Hermitian by
     construction, as from_bloch's is exactly: no shape or defect check.
-    Its traces pass _refused once; the tuple does not screen them again."""
-    tk, refused = _power_traces(rho, upto)
+    Its traces pass _screened once; the tuple does not screen them again."""
+    return TraceInvariants._of_finite(rho.shape[-1], _screened(*_power_traces(rho, upto)))
+
+
+def _screened(tk: list, refused: list) -> list:
+    """One matrix's traces t_1..t_upto as Python floats, from the complex
+    traces and the refusal mask of _power_traces: the lowest refused power
+    raises, named for leaving float64 or for its imaginary residue.  The
+    one screen of trace_invariants and check_state_bloch."""
     if any(refused):
         k = refused.index(True)
         if not cmath.isfinite(tk[k]):
             raise ValueError(f"trace of power {k + 1} leaves the float64 range")
         raise ValueError(f"trace of power {k + 1} has imaginary residue {tk[k].imag:.3e}")
-    return TraceInvariants._of_finite(rho.shape[-1], [z.real for z in tk])
+    return [z.real for z in tk]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -205,16 +239,24 @@ def _power_traces(rho: np.ndarray, upto: int):
     gets them as lists of Python complex numbers and bools.  Each trace is
     _diagonal_sum of its power's diagonal, on Python complex numbers for
     one matrix and on the stack's diagonal columns, so a stacked trace
-    equals its matrix's bit for bit by construction.  Powers that overflow
-    raise no RuntimeWarning.
+    equals its matrix's bit for bit by construction.  One matrix keeps a
+    running product p = p rho, from a C-ordered copy of rho as the stack's
+    buffer holds it, and reads each power's diagonal as it is formed: the
+    stack's matmuls, one at a time.  Powers that overflow raise no
+    RuntimeWarning.
     """
+    if rho.ndim == 2:
+        p = np.ascontiguousarray(rho)
+        diagonals = [p.diagonal().tolist()]
+        for _ in range(1, upto):
+            p = p @ rho
+            diagonals.append(p.diagonal().tolist())
+        tk = [*map(_diagonal_sum, diagonals)]
+        return tk, [*map(_refused, tk)]
     powers = np.empty((upto,) + rho.shape, dtype=complex)
     powers[0] = rho
     for k in range(1, upto):
         np.matmul(powers[k - 1], rho, out=powers[k])
-    if rho.ndim == 2:
-        tk = [*map(_diagonal_sum, powers.diagonal(axis1=1, axis2=2).tolist())]
-        return tk, [*map(_refused, tk)]
     tk = _diagonal_sum([powers[..., i, i] for i in range(rho.shape[-1])])
     return tk, _refused(tk)
 
@@ -284,21 +326,18 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
     once per tuple; the array is read-only.  An S_k that leaves float64
     raises, naming the lowest such k (the tuple holds no non-finite t_k).
     """
-    if t.order < t.dim:
-        raise ValueError(f"need t_1..t_{t.dim} to form S_1..S_{t.dim}, have order {t.order}")
-    return t._S
+    return t._S_array
 
 
 def _newton_coefficients(T: np.ndarray) -> np.ndarray:
     """S_1..S_N from t_1..t_N by the Newton recursion, over the leading
-    axes of a (..., N) array: the one recursion behind char_coefficients
-    and check_states_bloch.  An S_k that leaves float64 (S_2 t_2 may
-    overflow while every t_k is finite) comes out inf or NaN without a
-    RuntimeWarning, for its caller to refuse.  One tuple runs _newton on
-    Python floats, a stack on its columns: a row's S is its tuple's, bit
-    for bit, on any layout."""
-    if T.ndim == 1:
-        return np.array(_newton(T.tolist()))  # float arithmetic never warns
+    axes of a (..., N) array: the stacked form, behind check_states_bloch,
+    of the one recursion that one tuple runs on its Python floats
+    (_newton, in TraceInvariants and check_state_bloch).  Its columns
+    round as those floats do, so a row's S is its tuple's, bit for bit, on
+    any layout.  An S_k that leaves float64 (S_2 t_2 may overflow while
+    every t_k is finite) comes out inf or NaN without a RuntimeWarning,
+    for its caller to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.stack(_newton(list(np.moveaxis(T, -1, 0))), axis=-1)
 
@@ -311,6 +350,16 @@ def _newton(t: list) -> list:
     for k in range(1, len(t) + 1):
         S.append(_backward_dot(S, signed, k - 1, k) / k)
     return S[1:]
+
+
+def _finite_coefficients(S: list) -> list:
+    """S_1..S_N of one tuple, as Python floats, unchanged if finite; else
+    the lowest S_k that leaves float64 raises.  S_N is finite only if every
+    S_k is (S_k enters S_{k+1} as S_k t_1), so a finite S costs one test."""
+    if not math.isfinite(S[-1]):
+        k = [*map(math.isfinite, S)].index(False) + 1
+        raise ValueError(f"characteristic coefficient S_{k} leaves the float64 range")
+    return S
 
 
 def _backward_dot(a: list, b: list, top: int, n: int):
@@ -341,16 +390,21 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     extends from the tuple's own traces and keeps nothing.  Each step reads
     only the N values before it, and the new tuple forms its own S from
     the same t_1..t_N, so extending in stages gives the bits of one run.
-    An extension that leaves float64 raises, naming the lowest such t_k,
-    as any tuple does.
+    The recursion runs on the tuple's Python floats; only the values it
+    appends are screened, and one that leaves float64 raises, naming the
+    lowest such t_k, as any tuple does.
     """
     if upto <= t.order:
         return t
-    signed = [s if i % 2 == 0 else -s for i, s in enumerate(char_coefficients(t).tolist())]
-    ext = [float(t.dim), *t.values.tolist()]  # t_0..t_m
-    for k in range(len(ext), upto + 1):
+    signed = [s if i % 2 == 0 else -s for i, s in enumerate(t._S)]
+    ext = [float(t.dim), *t._t]  # t_0..t_m
+    m = len(ext)
+    for k in range(m, upto + 1):
         ext.append(_backward_dot(ext, signed, k - 1, t.dim))
-    return TraceInvariants(dim=t.dim, values=ext[1:])
+    if not all(map(math.isfinite, ext[m:])):
+        k = [*map(math.isfinite, ext)].index(False)
+        raise ValueError(f"trace t_{k} = {ext[k]} is not finite")
+    return TraceInvariants._of_finite(t.dim, ext[1:])
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:

@@ -13,7 +13,11 @@ along two routes that must agree, neither of which diagonalizes anything:
 
 Both are thin front ends on one classification core (_classify), which
 takes S_k >= 0 (and, on the trace route, B >= 0) to a verdict and reads
-the rank off the S_k, each by one rule (_s_test, _rank_from_ratios).  The
+the rank off the S_k, each by one rule (_s_test, _rank_from_ratios).  It
+reads one matrix's S_1..S_N and t_1..t_N as lists of Python floats: the
+trace route's, held by its tuple, and the Bloch route's, carried from
+the power loop through the screen and the Newton recursion with no tuple
+and no array between.  The
 stratum is a function of the verdict and the rank alone (_stratum), as
 the paper stratifies the state space by rank: "pure" at rank 1,
 "interior" at full rank and "boundary-rank-k" in between; no margin
@@ -29,7 +33,8 @@ and its projection, the power traces, the Newton recursion, and the S_k
 test with the rank rule) and returns the verdicts as columns: is_state,
 rank and margin, plus the ValueError of each row that has one.  The
 Bloch map and its projection are real einsums against the basis as an
-(N^2 - 1, N, 2N) table of (re, im) pairs (a view of its elements), which
+(N^2 - 1, N, 2N) table of (re, im) pairs (a view of its elements, kept
+with the map's scale and centre in one table per N, _bloch_tables), which
 keep the bits of the complex products with the generators and skip the
 projection's imaginary half.  Each trace, of a power or of an input
 matrix for the unit-trace gate, is summed off the diagonal by
@@ -44,7 +49,7 @@ single-input route, which returns its verdict or
 raises its ValueError; so each check, its message and its order live in
 one place, and every matrix meets the one Hermiticity gate of
 invariants, max |rho - rho^dag| <= HERMITIAN_TOL.  The path follows the
-shape of the input, not an option: a one-row stack took about 2-3x the
+shape of the input, not an option: a one-row stack took about 3.5x the
 time of one check_state_bloch call at N = 2..8, and a 400-row stack
 about a tenth of the single calls per row.  So single inputs,
 `quditorbits check --xi` among them, keep the single route, and batch
@@ -74,12 +79,13 @@ from .invariants import (
     TraceInvariants,
     _backward_dot,
     _diagonal_sum,
+    _finite_coefficients,
     _hermitian_defect,
+    _newton,
     _newton_coefficients,
     _power_traces,
     _require_hermitian,
-    _trace_tuple,
-    char_coefficients,
+    _screened,
 )
 from .su_algebra import gell_mann_basis
 
@@ -134,11 +140,16 @@ def dim_from_bloch(xi) -> int:
 
 
 @functools.cache
-def _identity_over(N: int) -> np.ndarray:
-    """I/N as a read-only complex N x N array, the centre of the Bloch embedding."""
+def _bloch_tables(N: int) -> tuple:
+    """The tables of the Bloch map and its projection at N, built once:
+    the basis as an (N^2 - 1, N, 2N) real view of (re, im) pairs,
+    bloch_scale(N), its double (the projection's divisor) and I/N, the
+    centre of the embedding, as a complex N x N array.  The arrays are
+    read-only."""
     centre = np.eye(N, dtype=complex) / N
     centre.flags.writeable = False
-    return centre
+    scale = bloch_scale(N)
+    return gell_mann_basis(N).elements.view(float), scale, 2.0 * scale, centre
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -165,9 +176,9 @@ def from_bloch(xi: np.ndarray) -> np.ndarray:
 def _bloch_map(xi: np.ndarray, N: int) -> np.ndarray:
     """from_bloch's map over the leading axes of a (..., N^2 - 1) array:
     sum_i xi_i lam_i formed as real (re, im) pairs, read back as complex."""
-    lam = gell_mann_basis(N).elements.view(float)  # (N^2 - 1, N, 2N) real
+    lam, scale, _, centre = _bloch_tables(N)
     pairs = np.einsum("...i,ijk->...jk", xi, lam, order="C")
-    return _identity_over(N) + bloch_scale(N) * pairs.view(complex)
+    return centre + scale * pairs.view(complex)
 
 
 def _bloch_projection(rho: np.ndarray, N: int) -> np.ndarray:
@@ -175,18 +186,18 @@ def _bloch_projection(rho: np.ndarray, N: int) -> np.ndarray:
     Re tr(lam_i rho) from rho's contiguous (re, im) pairs, without the
     imaginary half.  tr(lam_i rho) takes lam_i^T as (re, -im) pairs, which
     for a Hermitian lam_i are lam_i's own: the map's real table serves."""
-    lam = gell_mann_basis(N).elements.view(float)
+    lam, _, divisor, _ = _bloch_tables(N)
     pairs = np.ascontiguousarray(rho).view(float)
-    return np.einsum("ijk,...jk->...i", lam, pairs) / (2.0 * bloch_scale(N))
+    return np.einsum("ijk,...jk->...i", lam, pairs) / divisor
 
 
-@np.errstate(invalid="ignore")
 def to_bloch(rho: np.ndarray) -> np.ndarray:
     """Project a unit-trace Hermitian matrix onto its Bloch components.
 
     xi_i = tr(rho lam_i) / (2 sqrt((N-1)/(2N))), the inverse of from_bloch.
     An inf - inf on the diagonal, a NaN trace, is refused without a
-    RuntimeWarning; the projection itself never warns.
+    RuntimeWarning, as the trace is summed on Python complex numbers; the
+    projection itself never warns.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -330,21 +341,19 @@ def _require_finite_tolerance(tol: float) -> None:
         raise ValueError(f"positivity tolerance {tol} is not finite")
 
 
-def _s_test(S: np.ndarray, T: np.ndarray, tol: float) -> tuple:
-    """The S_k test min_k S_k >= -tol and _rank_from_ratios' rank, for (N,)
-    or (B, N) arrays of S_1..S_N and t_1..t_N: (passes, rank, margin), the
-    margin being the smallest S_k.  Both run on floats or columns; of equal
-    S_k the margin is the last, as numpy's sequential minimum takes it, so
-    a tie of 0.0 and -0.0 reads alike on both.  A NaN or infinite tol
-    raises."""
+def _s_test(S: list, t: list, tol: float) -> tuple:
+    """The S_k test min_k S_k >= -tol and _rank_from_ratios' rank, for lists
+    of S_1..S_N and t_1..t_N, of Python floats for one tuple or of a
+    stack's columns: (passes, rank, margin), the margin being the smallest
+    S_k.  Of equal S_k the margin is the last, as numpy's sequential
+    minimum takes it, so a tie of 0.0 and -0.0 reads alike on both.  A NaN
+    or infinite tol raises."""
     _require_finite_tolerance(tol)
-    if S.ndim == 1:
-        S, T = S.tolist(), T.tolist()
+    if isinstance(S[0], float):
         margin = min(reversed(S))
     else:
-        S, T = list(S.T), list(T.T)
         margin = functools.reduce(lambda m, s: np.where(s < m, s, m), reversed(S))
-    return margin >= -tol, _rank_from_ratios(S, T, tol), margin
+    return margin >= -tol, _rank_from_ratios(S, t, tol), margin
 
 
 def _stratum(is_state: bool, rank: int, N: int) -> str | None:
@@ -360,30 +369,32 @@ def _stratum(is_state: bool, rank: int, N: int) -> str | None:
     return f"boundary-rank-{rank}"
 
 
-def _classify(
-    t: TraceInvariants, S: np.ndarray, tol: float, certify: bool = False
-) -> StateClassification:
-    """The classification core behind both routes, from the traces t and
-    their characteristic coefficients S.
+def _classify(S: list, t: list, N: int, tol: float, certificate=None) -> StateClassification:
+    """The classification core behind both routes, from one matrix's
+    characteristic coefficients S_1..S_N and traces t_1..t_N, as lists of
+    Python floats, and its dimension N.
 
     A state passes the S_k test of _s_test, which also reads the rank, and,
-    with certify (the trace route), has a positive semidefinite Bezoutian,
-    tested only once the S_k pass.
+    on the trace route, its certificate: a callable that tests the
+    Bezoutian positive semidefinite, called only once the S_k pass.
     """
-    passes, rank, margin = _s_test(S, t.values[: t.dim], tol)
-    is_state = bool(passes) and (not certify or t._bezoutian_psd)
-    return StateClassification(is_state, rank, _stratum(is_state, rank, t.dim), float(margin))
+    passes, rank, margin = _s_test(S, t, tol)
+    is_state = bool(passes) and (certificate is None or certificate())
+    return StateClassification(is_state, rank, _stratum(is_state, rank, N), margin)
 
 
 def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClassification:
     """Positivity test in Bloch coordinates: all S_k(xi) >= 0.
 
     A thin front end on _classify, the core shared with
-    check_state_traces; no eigensolver is involved.
+    check_state_traces; no eigensolver is involved.  The matrix's traces
+    go from the power loop to the verdict as Python floats, screened once,
+    with no trace tuple and no array of t_k or S_k between.
     """
     rho = from_bloch(xi)
-    t = _trace_tuple(rho, rho.shape[0])  # from_bloch's rho is exactly Hermitian
-    return _classify(t, char_coefficients(t), tol)
+    N = rho.shape[0]
+    t = _screened(*_power_traces(rho, N))  # from_bloch's rho is exactly Hermitian
+    return _classify(_finite_coefficients(_newton(t)), t, N, tol)
 
 
 def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> StateClassification:
@@ -403,7 +414,7 @@ def check_state_traces(t: TraceInvariants, tol: float = POSITIVITY_TOL) -> State
     """
     if not abs(t.t(1) - 1.0) <= TRACE_TOL:
         raise ValueError(f"t_1 = {t.t(1)} is not 1 within {TRACE_TOL}")
-    return _classify(t, char_coefficients(t), tol, certify=True)
+    return _classify(t._S, t._t[: t.dim], t.dim, tol, lambda: t._bezoutian_psd)
 
 
 def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
@@ -432,7 +443,7 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
         tk, refused = _power_traces(_bloch_map(xis, N), N)
         T = tk.real.T
         S = _newton_coefficients(T)
-        is_state, rank, margin = (column.tolist() for column in _s_test(S, T, tol))
+        is_state, rank, margin = (c.tolist() for c in _s_test(list(S.T), list(T.T), tol))
         # a non-finite xi makes its t_k, and so its S_k, non-finite too
         rejected = refused.any(axis=0) | ~np.isfinite(S).all(axis=1)
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}

@@ -209,26 +209,23 @@ def gell_mann_basis(N: int) -> BasisSet:
         raise ValueError(f"su(N) requires an integer dimension N >= 2, got {N!r}")
     N = int(N)
 
-    elements = []
-    for m in range(2, N + 1):
-        for j in range(1, m):
-            sym = np.zeros((N, N), dtype=complex)
-            sym[j - 1, m - 1] = 1.0
-            sym[m - 1, j - 1] = 1.0
-            elements.append(sym)
-            asym = np.zeros((N, N), dtype=complex)
-            asym[j - 1, m - 1] = -1.0j
-            asym[m - 1, j - 1] = 1.0j
-            elements.append(asym)
-        k = m - 1
-        diag = np.zeros(N)
-        diag[:k] = 1.0
-        diag[k] = -k
-        elements.append(np.sqrt(2.0 / (k * (k + 1))) * np.diag(diag).astype(complex))
+    # Zero-based, the pair (j, m), j < m, of block m holds its symmetric
+    # generator at m^2 - 1 + 2j and its antisymmetric one next to it; block
+    # m ends with H_m at (m + 1)^2 - 2.
+    elements = np.zeros((N * N - 1, N, N), dtype=complex)
+    r = np.arange(N)
+    m, j = _ragged_ranges(np.zeros(N, dtype=int), r)  # j = 0..m-1 for each m
+    sym = m * m - 1 + 2 * j
+    elements[sym, j, m] = elements[sym, m, j] = 1.0
+    elements[sym + 1, j, m] = -1.0j
+    elements[sym + 1, m, j] = 1.0j
+    k = r[1:]
+    scale = np.sqrt(2.0 / (k * (k + 1)))
+    elements[(m + 1) ** 2 - 2, j, j] = scale[m - 1]
+    elements[(k + 1) ** 2 - 2, k, k] = scale * -k
 
-    stacked = _readonly(np.array(elements))
     cartan = tuple(m * m - 1 for m in range(2, N + 1))
-    return BasisSet(dim=N, elements=stacked, cartan_indices=cartan)
+    return BasisSet(dim=N, elements=_readonly(elements), cartan_indices=cartan)
 
 
 def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):

@@ -453,3 +453,19 @@ def test_trace_invariants_range_errors():
         t.t(3)
     with pytest.raises(ValueError):
         char_coefficients(trace_invariants(diag_state(0.5, 0.5), upto=1))
+    # a tuple with no dimension N >= 1, or with values that are no
+    # one-dimensional sequence of reals, is refused where it is built,
+    # naming the field, before any invariant can read it
+    for dim in (-1, 0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match=r"^dim must be an int >= 1, got "):
+            TraceInvariants(dim=dim, values=[1.0, 0.5, 0.3])
+    for values in ([[1.0, 0.5], [0.5, 0.3]], 1.0, np.ones((1, 3))):
+        with pytest.raises(ValueError, match=r"^values must be one-dimensional, got shape "):
+            TraceInvariants(dim=2, values=values)
+    for values in ([[1.0, 0.5], 0.3], ["a", 0.5], [1.0, 0.5j]):
+        with pytest.raises(ValueError, match=r"^values must be a one-dimensional sequence of reals"):
+            TraceInvariants(dim=2, values=values)
+    # an int-like dim is kept as an int; one trace is a whole tuple at N = 1
+    t = TraceInvariants(dim=np.int64(2), values=(1.0, 0.5))
+    assert type(t.dim) is int and char_coefficients(t).tolist() == [1.0, 0.25]
+    assert char_coefficients(TraceInvariants(dim=1, values=[1.0])).tolist() == [1.0]

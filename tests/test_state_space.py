@@ -606,14 +606,14 @@ def test_stacked_kernels_ignore_input_layout(N):
             rule = state_space._rank_from_ratios
             rows = [rule(s.tolist(), t.tolist(), tol) for s, t in zip(S, T)]
             assert rule(list(S_in.T), list(T_in.T), tol).tolist() == rows, name
-            assert state_space._s_test(S_in, T_in, tol)[1].tolist() == rows, name
+            assert state_space._s_test(list(S_in.T), list(T_in.T), tol)[1].tolist() == rows, name
 
 
 def _complex_bloch_map(xi, N):
     """The Bloch map as the complex einsum against the dense basis, which
     the real (re, im) table replaced: the reference for its bits."""
     lam = gell_mann_basis(N).elements
-    return state_space._identity_over(N) + bloch_scale(N) * np.einsum("...i,ijk->...jk", xi, lam)
+    return np.eye(N, dtype=complex) / N + bloch_scale(N) * np.einsum("...i,ijk->...jk", xi, lam)
 
 
 def _complex_bloch_projection(rho, N):
@@ -796,8 +796,10 @@ def test_margin_of_a_signed_zero_tie_is_the_last_zero():
         for row, (i, j) in zip(S, pairs):
             row[i], row[j] = 0.0, -0.0
         T = np.ones_like(S)
-        margins = np.array([state_space._s_test(s, t, POSITIVITY_TOL)[2] for s, t in zip(S, T)])
-        assert margins.tobytes() == state_space._s_test(S, T, POSITIVITY_TOL)[2].tobytes()
+        rows = zip(S.tolist(), T.tolist())
+        margins = np.array([state_space._s_test(s, t, POSITIVITY_TOL)[2] for s, t in rows])
+        stacked = state_space._s_test(list(S.T), list(T.T), POSITIVITY_TOL)[2]
+        assert margins.tobytes() == stacked.tobytes()
         assert np.signbit(margins).tolist() == [j > i for i, j in pairs]
 
 
@@ -845,7 +847,7 @@ def test_rank_rule_reads_the_first_failed_k(tol):
     for N, rows in by_dim.items():
         S, T, ranks = (np.array(column) for column in zip(*rows))
         assert state_space._rank_from_ratios(list(S.T), list(T.T), tol).tolist() == ranks.tolist()
-        assert state_space._s_test(S, T, tol)[1].tolist() == ranks.tolist(), N
+        assert state_space._s_test(list(S.T), list(T.T), tol)[1].tolist() == ranks.tolist(), N
 
 
 def test_stacked_check_sizes():
@@ -864,12 +866,14 @@ def test_stacked_check_sizes():
 
 
 def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
+    # a tuple runs the Newton recursion (_newton, on its Python floats) at
+    # most once, however many invariants read its S
     recursions, determinants, factorisations = [], [], []
-    newton, det, cholesky = invariants._newton_coefficients, np.linalg.det, np.linalg.cholesky
+    newton, det, cholesky = invariants._newton, np.linalg.det, np.linalg.cholesky
 
-    def counted_newton(T):
-        recursions.append(T.shape[-1])
-        return newton(T)
+    def counted_newton(t):
+        recursions.append(len(t))
+        return newton(t)
 
     def counted_det(a):
         determinants.append(a)
@@ -879,7 +883,7 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         factorisations.append(a)
         return cholesky(a)
 
-    monkeypatch.setattr(invariants, "_newton_coefficients", counted_newton)
+    monkeypatch.setattr(invariants, "_newton", counted_newton)
     monkeypatch.setattr(np.linalg, "det", counted_det)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for N in (2, 3, 5, 8):
@@ -913,6 +917,63 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
     factorisations.clear()
     assert not check_state_traces(TraceInvariants(dim=3, values=[1.0, 1.5, 0.5])).is_state
     assert factorisations == []
+
+
+def test_bloch_route_runs_one_recursion_and_n_minus_1_products(monkeypatch):
+    # check_state_bloch forms rho's powers by N - 1 matrix products and its
+    # S_k by one Newton recursion, for states and non-states alike
+    recursions, products = [], []
+    newton, bloch = state_space._newton, state_space.from_bloch
+
+    class CountedProducts(np.ndarray):
+        """A matrix whose products with any array numpy reports here."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(method)
+            inputs = [x.view(np.ndarray) if isinstance(x, CountedProducts) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def counted_newton(t):
+        recursions.append(len(t))
+        return newton(t)
+
+    monkeypatch.setattr(state_space, "_newton", counted_newton)
+    monkeypatch.setattr(state_space, "from_bloch", lambda xi: bloch(xi).view(CountedProducts))
+    rng = np.random.default_rng(850)
+    for N in (2, 3, 5, 8):
+        for rho in (sample_states(N, 1, seed=850 + N)[0], random_hermitian_unit_trace(N, rng)):
+            xi = to_bloch(rho)
+            recursions.clear()
+            products.clear()
+            verdict = check_state_bloch(xi)
+            assert (recursions, products) == ([N], ["__call__"] * (N - 1))
+            # the counted verdict is the stacked core's, which runs neither
+            assert check_states_bloch(xi[np.newaxis]) == [verdict]
+            assert (len(recursions), len(products)) == (1, N - 1)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_trace_route_equals_the_stacked_kernels_bit_for_bit(N):
+    # the trace route has no stacked twin: the S, rank and margin it forms
+    # on each tuple's Python floats equal _newton_coefficients and _s_test
+    # on the columns of a stack of the tuples' traces, bit for bit, and it
+    # calls a matrix a state only where the stacked S_k test passes
+    rng = np.random.default_rng(1400 + N)
+    matrices = np.concatenate([sample_states(N, 20, seed=1400 + N), _route_style_corpus(N, 80, rng)])
+    tuples = [trace_invariants(rho) for rho in matrices]
+    T = np.array([t.values for t in tuples])
+    S = _newton_coefficients(T)
+    for tol in (POSITIVITY_TOL, 0.0, 1e-3):
+        passes, rank, margin = state_space._s_test(list(S.T), list(T.T), tol)
+        verdicts = [check_state_traces(t, tol) for t in tuples]
+        assert [char_coefficients(t).tobytes() for t in tuples] == [row.tobytes() for row in S]
+        assert [v.rank for v in verdicts] == rank.tolist()
+        assert np.array([v.margin for v in verdicts]).tobytes() == margin.tobytes()
+        assert [v.is_state for v in verdicts] == [
+            p and t._bezoutian_psd for p, t in zip(passes.tolist(), tuples)
+        ]
+        assert 0 < passes.sum() < len(tuples)
 
 
 @pytest.mark.parametrize("N", range(2, 9))

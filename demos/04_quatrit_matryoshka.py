@@ -83,7 +83,7 @@ print(f"\nremap composition at r4 = {r4}: chained = {chained:.12f}, "
 # At a fixed radius the admissible orbit directions form a spherical
 # polygon.  Its vertex count changes at two transition radii, where the
 # sphere passes the simplex corners (1/3, 1/3, 1/3, 0) and (1/2, 1/2, 0, 0).
-lo, hi = polyhedron_transition_radii(4)
+lo, hi = polyhedron_transition_radii()
 print(f"\ntransition radii: {lo:.9f} (= 1/3), {hi:.9f} (= 1/sqrt(3))")
 
 for r in (0.25, 0.45, 0.8, 1.0):

@@ -358,7 +358,7 @@ def _cmd_param(args) -> int:
             "radius": coords.radius,
             "angles": list(coords.angles),
             "degenerate_angles": coords.degenerate_angles,
-            "convention": coords.convention,
+            "convention": orb.ANGLE_CONVENTION,
         }
     _emit([json.dumps(record)], args.out)
     return 0

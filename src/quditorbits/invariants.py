@@ -11,11 +11,11 @@ at most once, so a caller that asks for one twice, as the trace route's
 check followed by discriminant does for S and B, pays for it once.  The
 traces of a matrix are screened once, by one rule (_refused) on one
 matrix's Python complex numbers and on a stack's arrays alike, and come
-out of _screened as Python floats; the tuple built from them skips the
-finiteness screen that any other tuple meets.  One tuple's S_k, Newton
-extension and verdict are formed on those floats, converted once per
-tuple, and check_state_bloch runs the same helpers on a matrix's floats
-without building a tuple at all.
+out of _screened as Python floats.  Every tuple is built by the one
+constructor and meets its checks.  One tuple's S_k, Newton extension
+(_extension, which B reads without building a tuple) and verdict are
+formed on its floats, converted once per tuple, and check_state_bloch
+runs the same helpers on a matrix's floats without building a tuple.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -61,16 +61,18 @@ class TraceInvariants:
 
     values[k-1] holds t_k; t_0 = N by convention.  values is the tuple's
     own read-only float64 copy of what it was built from (an array, a
-    tuple or a list), so the tuple never changes.  A dim that is not an
-    int >= 1, values that are not one-dimensional, and a NaN or infinite
-    value, named by the lowest such t_k, are refused when the tuple is
-    built.  The traces are also held as Python floats, converted once, on
-    which S_1..S_N, the Newton extension and the trace route's verdict are
+    tuple or a list of real numbers), so the tuple never changes.  The
+    constructor is the only way a tuple is built, and it refuses a dim
+    that is not an int >= 1, values that are not one-dimensional or not
+    real (complex numbers, even with a zero imaginary part, and text are
+    not cast), and a NaN or infinite value, named by the lowest such t_k.
+    The traces are also held as Python floats, converted once, on which
+    S_1..S_N, the Newton extension and the trace route's verdict are
     formed.  That makes its derived invariants safe to keep: S_1..S_N (as
     floats, and as char_coefficients' read-only array), the Bezoutian
-    (read off newton_extend, a tuple, so finite) and its determinant are
-    each formed at most once per tuple, on first use, and handed out
-    read-only; so is the trace route's test that B is positive
+    (gathered from the extension's screened floats, so finite) and its
+    determinant are each formed at most once per tuple, on first use, and
+    handed out read-only; so is the trace route's test that B is positive
     semidefinite.
     """
 
@@ -83,32 +85,18 @@ class TraceInvariants:
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         try:
-            values = np.array(self.values, dtype=float)
+            values = np.array(self.values)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"values must be a one-dimensional sequence of reals: {exc}") from None
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"values must be a one-dimensional sequence of reals, got {values.dtype}")
         if values.ndim != 1:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
-        floats = values.tolist()
-        if not all(map(math.isfinite, floats)):
-            k = [*map(math.isfinite, floats)].index(False)
-            raise ValueError(f"trace t_{k + 1} = {values[k]} is not finite")
+        values = values.astype(float, copy=False)
         values.flags.writeable = False
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_t", floats)
-
-    @classmethod
-    def _of_finite(cls, dim: int, values: list) -> TraceInvariants:
-        """The tuple of N = dim >= 1 and a list of Python floats already
-        screened finite, as _screened's traces and newton_extend's are:
-        built without __post_init__'s checks, on the list itself."""
-        t = cls.__new__(cls)
-        array = np.array(values)
-        array.flags.writeable = False
-        object.__setattr__(t, "dim", dim)
-        object.__setattr__(t, "values", array)
-        object.__setattr__(t, "_t", values)
-        return t
+        object.__setattr__(self, "_t", _finite_traces(values.tolist()))
 
     @property
     def order(self) -> int:
@@ -138,7 +126,7 @@ class TraceInvariants:
 
     @cached_property
     def _bezoutian(self) -> np.ndarray:
-        ext = newton_extend(self, 2 * self.dim - 2)._t  # t_1..t_{2N-2}
+        ext = _extension(self, 2 * self.dim - 2)  # t_1..t_{2N-2}, or more
         B = np.array([float(self.dim), *ext])[_hankel(self.dim)[0]]
         B.flags.writeable = False
         return B
@@ -156,7 +144,7 @@ class TraceInvariants:
         """Procesi-Schwarz: the tuple has a Hermitian matrix iff B is
         positive semidefinite.  Tested without eigenvalues, by a Cholesky
         factorisation of B + delta I, delta = 4 N eps max|B| (about B's
-        rounding); B is finite, as the extension it reads is a tuple.  B's
+        rounding); B is finite, as _extension screens what it reads.  B's
         first row and last column hold every t_k of B, so max|B| is read
         off them."""
         B = self._bezoutian
@@ -207,14 +195,7 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
         upto = rho.shape[0]
     if upto < 1:
         raise ValueError(f"need at least t_1, got upto={upto}")
-    return _trace_tuple(rho, upto)
-
-
-def _trace_tuple(rho: np.ndarray, upto: int) -> TraceInvariants:
-    """trace_invariants of a complex N x N matrix that is Hermitian by
-    construction, as from_bloch's is exactly: no shape or defect check.
-    Its traces pass _screened once; the tuple does not screen them again."""
-    return TraceInvariants._of_finite(rho.shape[-1], _screened(*_power_traces(rho, upto)))
+    return TraceInvariants(rho.shape[0], _screened(*_power_traces(rho, upto)))
 
 
 def _screened(tk: list, refused: list) -> list:
@@ -386,32 +367,46 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
     """Extend a trace tuple past t_N with the Newton recursion.
 
     t_k = S_1 t_{k-1} - S_2 t_{k-2} + ... -(-1)^N S_N t_{k-N} for k > N.
-    Returns the input unchanged when it already reaches `upto`.  Each call
+    Returns the input unchanged when it already reaches `upto`, else a new
+    tuple of _extension's floats.  Each call
     extends from the tuple's own traces and keeps nothing.  Each step reads
     only the N values before it, and the new tuple forms its own S from
     the same t_1..t_N, so extending in stages gives the bits of one run.
-    The recursion runs on the tuple's Python floats; only the values it
-    appends are screened, and one that leaves float64 raises, naming the
-    lowest such t_k, as any tuple does.
+    A t_k that leaves float64 raises, naming the lowest such k, as any
+    tuple does.
     """
+    return t if upto <= t.order else TraceInvariants(t.dim, _extension(t, upto))
+
+
+def _extension(t: TraceInvariants, upto: int) -> list:
+    """t_1..t_upto as Python floats, the one producer of the Newton
+    extension: the tuple's own list if it reaches upto (it may run past),
+    else that list continued by the recursion.  A t_k that leaves float64
+    raises, naming the lowest such k, as it would in a tuple."""
     if upto <= t.order:
-        return t
+        return t._t
     signed = [s if i % 2 == 0 else -s for i, s in enumerate(t._S)]
     ext = [float(t.dim), *t._t]  # t_0..t_m
-    m = len(ext)
-    for k in range(m, upto + 1):
+    for k in range(len(ext), upto + 1):
         ext.append(_backward_dot(ext, signed, k - 1, t.dim))
-    if not all(map(math.isfinite, ext[m:])):
-        k = [*map(math.isfinite, ext)].index(False)
-        raise ValueError(f"trace t_{k} = {ext[k]} is not finite")
-    return TraceInvariants._of_finite(t.dim, ext[1:])
+    return _finite_traces(ext[1:])
+
+
+def _finite_traces(t: list) -> list:
+    """t_1..t_m unchanged if every one is finite, else the lowest t_k that
+    is not raises: the one screen of a tuple and of its extension."""
+    if not all(map(math.isfinite, t)):
+        k = [*map(math.isfinite, t)].index(False)
+        raise ValueError(f"trace t_{k + 1} = {t[k]} is not finite")
+    return t
 
 
 def bezoutian(t: TraceInvariants) -> np.ndarray:
     """Bezoutian (Hankel) matrix B_ij = t_{i+j-2}, i, j = 1..N, t_0 = N.
 
-    Formed once per tuple from newton_extend(t, 2N - 2), which refuses an
-    extension that leaves float64; the array is read-only.
+    Formed once per tuple from _extension's t_1..t_{2N-2}, with no extended
+    tuple built; an extension that leaves float64 is refused, and the
+    array is read-only.
     """
     return t._bezoutian
 

@@ -59,7 +59,6 @@ class OrbitCoordinates:
     dim: int
     radius: float
     angles: np.ndarray
-    convention: str = ANGLE_CONVENTION
     degenerate_angles: bool = False
 
 
@@ -388,7 +387,7 @@ def _polyhedron_vertices(N: int, r: float) -> np.ndarray:
     return np.array(sorted(vertices.values(), key=lambda x: tuple(np.round(x, 12))))
 
 
-def polyhedron_transition_radii(N: int = 4) -> tuple:
+def polyhedron_transition_radii() -> tuple:
     """Radii where the vertex count of the quatrit polyhedron changes.
 
     These are the corner radii (r_3, r_2) = (1/3, 1/sqrt(3)): the count
@@ -396,8 +395,6 @@ def polyhedron_transition_radii(N: int = 4) -> tuple:
     onset of the rank-3 stratum, and 4 -> 3 when it passes
     (1/2, 1/2, 0, 0), the onset of the rank-2 stratum.
     """
-    if N != 4:
-        raise ValueError("transition radii are only classified for N = 4")
     return (_corner_radius(4, 3), _corner_radius(4, 2))
 
 
@@ -459,7 +456,7 @@ def intersection_polyhedron(N: int, r: float) -> dict:
         "kind": {1: "point", 3: "spherical triangle", 4: "spherical quadrilateral"}[nv],
         "n_vertices": nv,
         "vertices": vertices.tolist(),
-        "transition_radii": list(polyhedron_transition_radii(4)),
+        "transition_radii": list(polyhedron_transition_radii()),
     }
 
 

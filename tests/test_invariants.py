@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import quditorbits.invariants as invariants
 from quditorbits.invariants import (
     TraceInvariants,
     bezoutian,
@@ -23,7 +24,7 @@ from quditorbits.invariants import (
     traces_from_casimirs,
 )
 from quditorbits.orbit_space import OrbitCoordinates, spectrum_from_orbit
-from quditorbits.state_space import check_state_traces, sample_states, to_bloch
+from quditorbits.state_space import check_state_bloch, check_state_traces, sample_states, to_bloch
 from quditorbits.su_algebra import algebra_tensors
 
 CHAIN_TOL = 1e-9
@@ -172,6 +173,42 @@ def test_trace_tuple_from_tuple_or_list():
         assert np.array_equal(char_coefficients(u), char_coefficients(t))
         assert np.array_equal(bezoutian(u), bezoutian(t))
         assert discriminant(u) == discriminant(t)
+
+
+def test_every_tuple_is_built_by_its_constructor(monkeypatch):
+    # trace_invariants and newton_extend past the order build their tuples
+    # through the constructor's checks, once each; the verdict, B and det B
+    # of a fresh tuple, and the Bloch route, build no tuple at all.  The
+    # module's TraceInvariants is swapped for a subclass that counts the
+    # instances made and the checks run (setting __new__ on the class
+    # itself would leave it unable to build tuples once undone)
+    built, checked = [], []
+
+    class Counted(TraceInvariants):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
+
+        def __post_init__(self):
+            checked.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(invariants, "TraceInvariants", Counted)
+    for N in (2, 3, 5, 8):
+        rho = sample_states(N, 1, seed=N)[0]
+        t = trace_invariants(rho)
+        assert len(built) == len(checked) == 1
+        ext = newton_extend(t, 3 * N)
+        assert len(built) == len(checked) == 2 and checked == [t, ext]
+        assert newton_extend(t, N) is t
+        fresh = trace_invariants(rho)
+        built.clear()
+        checked.clear()
+        check_state_traces(fresh)
+        discriminant(fresh)
+        bezoutian(fresh)
+        check_state_bloch(to_bloch(rho))
+        assert built == checked == []
 
 
 def test_derived_arrays_are_read_only():
@@ -462,7 +499,18 @@ def test_trace_invariants_range_errors():
     for values in ([[1.0, 0.5], [0.5, 0.3]], 1.0, np.ones((1, 3))):
         with pytest.raises(ValueError, match=r"^values must be one-dimensional, got shape "):
             TraceInvariants(dim=2, values=values)
-    for values in ([[1.0, 0.5], 0.3], ["a", 0.5], [1.0, 0.5j]):
+    # complex values, with a zero imaginary part too, and text are refused,
+    # not cast to float64 with the imaginary part dropped or parsed
+    for values in (
+        [[1.0, 0.5], 0.3],
+        ["a", 0.5],
+        [1.0, 0.5j],
+        np.array([1 + 1j, 0.5]),
+        np.array([1 + 0j, 0.5]),
+        [np.complex128(1), 0.5],
+        ["1", "0.5"],
+        np.array(["1", "0.5"]),
+    ):
         with pytest.raises(ValueError, match=r"^values must be a one-dimensional sequence of reals"):
             TraceInvariants(dim=2, values=values)
     # an int-like dim is kept as an int; one trace is a whole tuple at N = 1

@@ -9,7 +9,6 @@ import pytest
 
 from quditorbits import orbit_space
 from quditorbits.orbit_space import (
-    ANGLE_CONVENTION,
     OrbitCoordinates,
     cartan_moduli,
     darboux_point,
@@ -132,7 +131,6 @@ def test_maximally_mixed_is_degenerate():
     c = orbit_from_spectrum(np.full(3, 1.0 / 3.0))
     assert c.radius == 0.0
     assert c.degenerate_angles
-    assert c.convention == ANGLE_CONVENTION
 
 
 def test_orbit_from_spectrum_validation():
@@ -558,10 +556,7 @@ def test_intersection_polyhedron_vertices_valid():
 
 
 def test_polyhedron_transition_radii():
-    for N in (3, 5):
-        with pytest.raises(ValueError, match="^transition radii are only classified for N = 4$"):
-            polyhedron_transition_radii(N)
-    lo, hi = polyhedron_transition_radii(4)
+    lo, hi = polyhedron_transition_radii()
     assert lo == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert hi == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
     # and against the vertex counts on either side: 3 -> 4, then 4 -> 3

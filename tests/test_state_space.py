@@ -20,6 +20,7 @@ from quditorbits.invariants import (
     TraceInvariants,
     _newton_coefficients,
     _power_traces,
+    _screened,
     bezoutian,
     char_coefficients,
     discriminant,
@@ -784,7 +785,7 @@ def test_one_tuple_trace_screen_flags_what_the_stacked_mask_flags():
     # an infinite entry fails the Hermiticity gate (inf - inf), so the
     # screen is reached past it
     with pytest.raises(ValueError, match="^trace of power 1 leaves the float64 range$"):
-        invariants._trace_tuple(infinite, N)
+        _screened(*_power_traces(infinite, N))
 
 
 def test_margin_of_a_signed_zero_tie_is_the_last_zero():

@@ -185,7 +185,8 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     Traces of Hermitian powers are real; the imaginary residue is checked
     against HERMITIAN_TOL (relative to the trace magnitude) and discarded.
     A trace that overflows float64 is refused too.  The lowest power with
-    a residue or an overflow names it in the error.
+    a residue or an overflow names it in the error.  The real parts go to
+    the TraceInvariants constructor, whose checks every tuple meets.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -368,12 +369,11 @@ def newton_extend(t: TraceInvariants, upto: int) -> TraceInvariants:
 
     t_k = S_1 t_{k-1} - S_2 t_{k-2} + ... -(-1)^N S_N t_{k-N} for k > N.
     Returns the input unchanged when it already reaches `upto`, else a new
-    tuple of _extension's floats.  Each call
-    extends from the tuple's own traces and keeps nothing.  Each step reads
-    only the N values before it, and the new tuple forms its own S from
-    the same t_1..t_N, so extending in stages gives the bits of one run.
-    A t_k that leaves float64 raises, naming the lowest such k, as any
-    tuple does.
+    tuple of _extension's floats.  Each call extends from the tuple's own
+    traces and keeps nothing.  Each step reads only the N values before it,
+    and the new tuple forms its own S from the same t_1..t_N, so extending
+    in stages gives the bits of one run.  A t_k that leaves float64 raises,
+    naming the lowest such k, as any tuple does.
     """
     return t if upto <= t.order else TraceInvariants(t.dim, _extension(t, upto))
 

@@ -38,7 +38,7 @@ with the map's scale and centre in one table per N, _bloch_tables), which
 keep the bits of the complex products with the generators and skip the
 projection's imaginary half.  Each trace, of a power or of an input
 matrix for the unit-trace gate, is summed off the diagonal by
-invariants._diagonal_sum in the order of numpy's add.reduce; that sum,
+invariants._diagonal_sum, left to right; that sum,
 the recursion, the rank rule and the margin make only elementwise IEEE
 operations, in one order, on Python numbers for one input and on
 columns for a stack, so each verdict equals check_state_bloch's bit for

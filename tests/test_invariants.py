@@ -499,9 +499,12 @@ def test_trace_invariants_range_errors():
     for values in ([[1.0, 0.5], [0.5, 0.3]], 1.0, np.ones((1, 3))):
         with pytest.raises(ValueError, match=r"^values must be one-dimensional, got shape "):
             TraceInvariants(dim=2, values=values)
-    # complex values, with a zero imaginary part too, and text are refused,
-    # not cast to float64 with the imaginary part dropped or parsed
+    # complex values, with a zero imaginary part too, booleans and text are
+    # refused, not cast to float64 with the imaginary part dropped, to 1.0
+    # and 0.0, or parsed
     for values in (
+        [True, False],
+        np.array([True, False]),
         [[1.0, 0.5], 0.3],
         ["a", 0.5],
         [1.0, 0.5j],

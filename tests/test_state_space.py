@@ -643,8 +643,9 @@ def _same_bits(a, b):
 def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
     # the (re, im) table makes the products and sums of the complex
     # einsums without their zero imaginary halves: every entry keeps its
-    # bits, on one input and on a stack, and so do the power traces and
-    # their refusal mask, summed off the diagonal one by one
+    # bits, on one input and on a stack; the power traces, summed off the
+    # diagonal left to right, and their refusal mask equal an in-order
+    # reference, and one matrix's traces equal its stack's
     rng = np.random.default_rng(1200 + N)
     n = N * N - 1
     cartan = np.isin(np.arange(n), [m * m - 2 for m in range(2, N + 1)])
@@ -668,7 +669,7 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
                 powers = [rho]
                 for _ in range(N - 1):
                     powers.append(powers[-1] @ rho)
-                tk = np.array(powers).trace(axis1=-2, axis2=-1)
+                tk = _in_order_sum(np.diagonal(np.array(powers), axis1=-2, axis2=-1))
                 stacked, refused = _power_traces(rho, N)
                 assert _same_bits(stacked, tk), name
                 assert np.array_equal(refused, _numpy_trace_screen(tk)), name
@@ -682,12 +683,19 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
                 assert refused == _numpy_trace_screen(np.array(single)).tolist(), name
 
 
+def _in_order_sum(diagonal):
+    """0 + the entries of the last axis added left to right, by numpy's
+    accumulate rather than by a loop of _diagonal_sum's kind."""
+    return 0 + np.add.accumulate(diagonal, axis=-1)[..., -1]
+
+
 @pytest.mark.parametrize("N", [*range(2, 21), 63, 64, 65, 100, 130])
 def test_diagonal_sum_is_the_trace_bit_for_bit(N):
     # on one matrix's Python complex numbers and on a stack's diagonal
-    # columns, _diagonal_sum adds in the order of numpy's add.reduce, so it
-    # equals ndarray.trace: for diagonals of magnitude 1e-8 to 1e8, signed
-    # zeros and, past float64, infinities and NaNs
+    # columns, _diagonal_sum adds left to right from 0, so it equals an
+    # in-order reference and a stacked trace equals its matrix's: for
+    # diagonals of magnitude 1e-8 to 1e8, signed zeros and, past float64,
+    # infinities and NaNs
     rng = np.random.default_rng(2500 + N)
     for shape in ((N, N), (3, N), (N, 2, N)):  # of (N, N, N), (B, N, N) and (N, B, N, N) stacks
         parts = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-8, 8, (2,) + shape)
@@ -707,7 +715,7 @@ def test_diagonal_sum_is_the_trace_bit_for_bit(N):
             stack = np.zeros(shape + (N,), dtype=complex)
             stack[..., np.arange(N), np.arange(N)] = diagonal
             with np.errstate(invalid="ignore"):  # inf - inf
-                trace = stack.trace(axis1=-2, axis2=-1)
+                trace = _in_order_sum(diagonal)
                 lanes = invariants._diagonal_sum([stack[..., i, i] for i in range(N)])
                 single = [invariants._diagonal_sum(row) for row in diagonal.reshape(-1, N).tolist()]
             assert _same_bits(lanes, trace), (name, shape)

@@ -410,6 +410,8 @@ def _figure_rows(name: str, samples: int, seed: int, r: float):
         return ["phi", "r"], [[p, orb.rank2_curve_radius(p)] for p in phis]
     if name == "qutrit-arc":
         report = orb.intersection_polyhedron(3, r)
+        if report["phi_range"] is None:
+            raise ValueError("qutrit-arc at r = 0 is the point I/3, which has no angle phi")
         phi_lo, phi_hi = report["phi_range"]
         phis = np.linspace(phi_lo, phi_hi, samples)
         rows = []

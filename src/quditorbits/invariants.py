@@ -9,14 +9,15 @@ with the symmetric vee product.
 A trace tuple (TraceInvariants) forms S, B, det B and the certificate
 at most once, so a caller that asks for one twice, as the trace route's
 check followed by discriminant does for S and B, pays for it once.  The
-traces of a matrix are summed off its powers' diagonals left to right
-(_diagonal_sum) and screened once, by one rule (_refused), on one
-matrix's Python complex numbers and on a stack's arrays alike, and come
-out of _screened as Python floats.  Every tuple is built by the one
-constructor and meets its checks.  One tuple's S_k, Newton extension
-(_extension, which B reads without building a tuple) and verdict are
-formed on its floats, converted once per tuple, and check_state_bloch
-runs the same helpers on a matrix's floats without building a tuple.
+traces of a matrix are formed by one running product (_power_traces),
+summed off each power's diagonal left to right (_trace) and screened
+once, by one rule (_refused), on one matrix's Python complex numbers and
+on a stack's arrays alike, and come out of _screened as Python floats.
+Every tuple is built by the one constructor and meets its checks.  One
+tuple's S_k, Newton extension (_extension, which B reads without
+building a tuple) and verdict are formed on its floats, converted once
+per tuple, and check_state_bloch runs the same helpers on a matrix's
+floats without building a tuple.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -212,40 +213,36 @@ def _screened(tk: list, refused: list) -> list:
 def _power_traces(rho: np.ndarray, upto: int):
     """tr(rho^k), k = 1..upto, over the leading axes of a (..., N, N) array,
     for trace_invariants and check_states_bloch alike, and _refused's mask
-    of the traces trace_invariants refuses.  A stack gets the complex
-    (upto, ...) traces, power first, and the mask as arrays; one matrix
-    gets them as lists of Python complex numbers and bools.  Each trace is
-    _diagonal_sum of its power's diagonal, added left to right, on Python
-    complex numbers for one matrix and on the stack's diagonal columns, so
-    a stacked trace equals its matrix's bit for bit by construction.  One
-    matrix keeps a running product p = p rho, from a C-ordered copy of rho
-    as the stack's buffer holds it, and reads each power's diagonal as it
-    is formed: the stack's matmuls, one at a time.  Powers that overflow
+    of the traces trace_invariants refuses.  One running product p = p rho,
+    from a C-ordered copy of rho, serves one matrix and a stack, and each
+    power's _trace is read as it is formed.  One matrix gets its traces and
+    mask as lists of Python complex numbers and bools; a stack gets them as
+    complex (upto, ...) and bool arrays, power first.  Powers that overflow
     raise no RuntimeWarning.
     """
+    p = np.ascontiguousarray(rho)
+    tk = [_trace(p)]
+    for _ in range(1, upto):
+        p = p @ rho
+        tk.append(_trace(p))
     if rho.ndim == 2:
-        p = np.ascontiguousarray(rho)
-        diagonals = [p.diagonal().tolist()]
-        for _ in range(1, upto):
-            p = p @ rho
-            diagonals.append(p.diagonal().tolist())
-        tk = [*map(_diagonal_sum, diagonals)]
         return tk, [*map(_refused, tk)]
-    powers = np.empty((upto,) + rho.shape, dtype=complex)
-    powers[0] = rho
-    for k in range(1, upto):
-        np.matmul(powers[k - 1], rho, out=powers[k])
-    tk = _diagonal_sum([powers[..., i, i] for i in range(rho.shape[-1])])
+    tk = np.array(tk)
     return tk, _refused(tk)
 
 
-def _diagonal_sum(lanes: list):
-    """0 + the N diagonal lanes, added left to right: Python complex
-    numbers for one matrix, or equal-shape complex columns for a stack,
+def _trace(a: np.ndarray):
+    """The trace of a matrix, or over the leading axes of a (..., N, N)
+    stack: 0 + the N diagonal lanes, added left to right, as Python
+    complex numbers for one matrix and as the stack's diagonal columns,
     which round alike, so a stacked trace equals its matrix's bit for bit.
     Starting from 0 turns a -0.0 sum into 0.0, as ndarray.trace does.  Its
     error is at most (N - 1) u sum |d_i| (Higham, Accuracy and Stability
     of Numerical Algorithms, 4.2), far below that of the powers it sums."""
+    if a.ndim == 2:
+        lanes = a.diagonal().tolist()
+    else:
+        lanes = np.moveaxis(a.diagonal(0, -2, -1), -1, 0)
     total = 0
     for lane in lanes:
         total = total + lane
@@ -292,22 +289,14 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
     return t._S_array
 
 
-def _newton_coefficients(T: np.ndarray) -> np.ndarray:
-    """S_1..S_N from t_1..t_N by the Newton recursion, over the leading
-    axes of a (..., N) array: the stacked form, behind check_states_bloch,
-    of the one recursion that one tuple runs on its Python floats
-    (_newton, in TraceInvariants and check_state_bloch).  Its columns
-    round as those floats do, so a row's S is its tuple's, bit for bit, on
-    any layout.  An S_k that leaves float64 (S_2 t_2 may overflow while
-    every t_k is finite) comes out inf or NaN without a RuntimeWarning,
-    for its caller to refuse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack(_newton(list(np.moveaxis(T, -1, 0))), axis=-1)
-
-
 def _newton(t: list) -> list:
     """k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1, on a list
-    t_1..t_N of Python floats or of the equal-shape columns of a stack."""
+    t_1..t_N of Python floats (one tuple, check_state_bloch) or of the
+    equal-shape columns of a stack (check_states_bloch), which round alike,
+    so a row's S is its tuple's, bit for bit, on any layout.  An S_k that
+    leaves float64 (S_2 t_2 may overflow while every t_k is finite) comes
+    out inf or NaN, for the caller to refuse; on columns it warns unless
+    the caller ignores it, as _stack_columns does."""
     signed = [x if i % 2 == 0 else -x for i, x in enumerate(t)]
     S = [1.0]
     for k in range(1, len(t) + 1):

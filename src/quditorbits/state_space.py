@@ -37,15 +37,16 @@ Bloch map and its projection are real einsums against the basis as an
 with the map's scale and centre in one table per N, _bloch_tables), which
 keep the bits of the complex products with the generators and skip the
 projection's imaginary half.  Each trace, of a power or of an input
-matrix for the unit-trace gate, is summed off the diagonal by
-invariants._diagonal_sum, left to right; that sum,
-the recursion, the rank rule and the margin make only elementwise IEEE
-operations, in one order, on Python numbers for one input and on
-columns for a stack, so each verdict equals check_state_bloch's bit for
-bit on any numpy build, traces included, by construction.  The core makes no
-per-row input check of its own: it flags the rows that from_bloch,
-to_bloch or trace_invariants would reject and hands each to the
-single-input route, which returns its verdict or
+matrix for the unit-trace gate, is invariants._trace, summed off the
+diagonal left to right; that sum, the recursion (invariants._newton, run
+on the stack's columns), the rank rule and the margin make only
+elementwise IEEE operations, in one order, on Python numbers for one
+input and on columns for a stack, so each verdict equals
+check_state_bloch's bit for bit on any numpy build, traces included, by
+construction.  The core makes no per-row input check of its own: it
+flags the rows whose traces the _screened trace screen refuses or whose
+S_k leave float64, and the matrices that to_bloch would reject, and
+hands each to the single-input route, which returns its verdict or
 raises its ValueError; so each check, its message and its order live in
 one place, and every matrix meets the one Hermiticity gate of
 invariants, max |rho - rho^dag| <= HERMITIAN_TOL.  The path follows the
@@ -78,14 +79,13 @@ from .invariants import (
     HERMITIAN_TOL,
     TraceInvariants,
     _backward_dot,
-    _diagonal_sum,
     _finite_coefficients,
     _hermitian_defect,
     _newton,
-    _newton_coefficients,
     _power_traces,
     _require_hermitian,
     _screened,
+    _trace,
 )
 from .su_algebra import gell_mann_basis
 
@@ -205,7 +205,7 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     N = rho.shape[0]
     if N < 2:
         raise ValueError("need N >= 2")
-    tr = _diagonal_sum(rho.diagonal().tolist())
+    tr = _trace(rho)
     try:
         defect = abs(tr - 1.0)
     except OverflowError:  # |tr - 1| leaves float64
@@ -427,11 +427,11 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     Newton recursion and _s_test).  Returns is_state, rank and margin as
     lists of B Python bools, ints and floats, and a dict from row index to
     the ValueError of each row that has no verdict (its column entries
-    then mean nothing).  A row that from_bloch or trace_invariants would
-    reject, or whose S_k leave float64, is judged by check_state_bloch,
-    and a matrix that to_bloch would reject by
-    check_state_bloch(to_bloch(rho)); their fields are written into the
-    columns.  A matrix stack with N < 2 raises.
+    then mean nothing).  A row whose traces the _screened trace screen
+    refuses (a non-finite xi among them), or whose S_N, and so some S_k,
+    leaves float64, is judged by check_state_bloch, and a matrix that
+    to_bloch would reject by check_state_bloch(to_bloch(rho)); their
+    fields are written into the columns.  A matrix stack with N < 2 raises.
     """
     matrices = stack.ndim == 3
     if matrices and N < 2:
@@ -441,14 +441,15 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     with np.errstate(all="ignore"):
         xis = _bloch_projection(stack, N) if matrices else stack
         tk, refused = _power_traces(_bloch_map(xis, N), N)
-        T = tk.real.T
-        S = _newton_coefficients(T)
-        is_state, rank, margin = (c.tolist() for c in _s_test(list(S.T), list(T.T), tol))
-        # a non-finite xi makes its t_k, and so its S_k, non-finite too
-        rejected = refused.any(axis=0) | ~np.isfinite(S).all(axis=1)
+        t = list(tk.real)
+        S = _newton(t)
+        is_state, rank, margin = (c.tolist() for c in _s_test(S, t, tol))
+        # a non-finite xi makes its t_k, and so its S_k, non-finite too; S_N
+        # is finite only if every S_k is, as _finite_coefficients reads it
+        rejected = refused.any(axis=0) | ~np.isfinite(S[-1])
         flagged = {b: xis[b] for b in np.flatnonzero(rejected).tolist()}
         if matrices:
-            tr = _diagonal_sum([stack[:, i, i] for i in range(N)])
+            tr = _trace(stack)
             # negated <= so that a NaN trace or defect flags its matrix too
             ok = (np.abs(tr - 1.0) <= TRACE_TOL) & (_hermitian_defect(stack) <= HERMITIAN_TOL)
             flagged.update((b, stack[b]) for b in np.flatnonzero(~ok).tolist())
@@ -481,8 +482,8 @@ def check_states_bloch(xis: np.ndarray, tol: float = POSITIVITY_TOL) -> list:
 
     Returns a list of B entries: the row's StateClassification, equal
     field for field to check_state_bloch(row, tol), or, for a row that
-    check_state_bloch rejects, the ValueError it raises.  A row that
-    from_bloch or trace_invariants would reject, or whose S_k leave
+    check_state_bloch rejects, the ValueError it raises.  A row whose
+    traces the _screened trace screen refuses, or whose S_k leave
     float64, is judged by check_state_bloch itself.  One bad row does not
     stop the others.  An array that is not (B, N^2 - 1) raises.
     """

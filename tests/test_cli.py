@@ -776,6 +776,16 @@ def test_figure_arc_columns(capsys):
     assert np.all(np.abs(rows[:, 1:].sum(axis=1) - 1.0) < 1e-12)
 
 
+@pytest.mark.parametrize("r", ["0", "-0"])
+def test_figure_arc_at_the_centre_is_refused(capsys, r):
+    # at r = 0 the arc is the point I/3, which has no angle phi: one error
+    # line, no output, no traceback
+    code, out, err = invoke(capsys, "figure", "--name", "qutrit-arc", "--r", r)
+    assert code == 1
+    assert out == ""
+    assert err == "error: qutrit-arc at r = 0 is the point I/3, which has no angle phi\n"
+
+
 def test_figure_quatrit_slice(capsys):
     code, out, _ = invoke(
         capsys, "figure", "--name", "quatrit-slice", "--samples", "50", "--seed", "2"

@@ -18,7 +18,7 @@ import quditorbits.invariants as invariants
 import quditorbits.state_space as state_space
 from quditorbits.invariants import (
     TraceInvariants,
-    _newton_coefficients,
+    _newton,
     _power_traces,
     _screened,
     bezoutian,
@@ -428,7 +428,7 @@ def test_zero_coefficients_keep_their_sign_bit_on_both_paths():
     # product, so an S_k of -0.0 or +0.0 keeps its sign on both
     zeros = [-0.0, 0.0, 1.0, -1.0]
     T = np.array([[a, b, c] for a in zeros for b in zeros for c in zeros])
-    S = _newton_coefficients(T)
+    S = np.array(_newton(list(T.T))).T
     assert np.signbit(S[S == 0]).any() and not np.signbit(S[S == 0]).all()
     for row, S_row in zip(T, S):
         assert char_coefficients(TraceInvariants(dim=3, values=row)).tobytes() == S_row.tobytes()
@@ -560,7 +560,7 @@ def test_stacked_check_equals_scalar_check(N):
     assert rejected[5] == (N >= 3) and not rejected[:4].any()
 
     T = np.array([trace_invariants(rho).values for rho in matrices])
-    S = _newton_coefficients(T)
+    S = np.array(_newton(list(T.T))).T
     for t_row, S_row, rho in zip(T, S, matrices):
         t = trace_invariants(rho)
         assert np.array_equal(S_row, char_coefficients(t))
@@ -578,7 +578,7 @@ def test_stacked_kernels_ignore_input_layout(N):
     # those of the row or matrix by itself.
     matrices = _route_style_corpus(N, 200, np.random.default_rng(1000 + N))
     T = np.array([trace_invariants(rho).values for rho in matrices])
-    S = np.array([_newton_coefficients(row) for row in T])
+    S = np.array([_newton(row.tolist()) for row in T])
 
     def layouts(a):
         return {
@@ -601,7 +601,7 @@ def test_stacked_kernels_ignore_input_layout(N):
         assert [(t.tobytes(), r) for t, r in zip(tk.T, refused.T.tolist())] == traces, name
 
     for (name, T_in), S_in in zip(layouts(T).items(), layouts(S).values()):
-        assert np.array_equal(_newton_coefficients(T_in), S), name
+        assert np.array_equal(np.array(_newton(list(T_in.T))).T, S), name
         for tol in (POSITIVITY_TOL, 0.0, 1e-3):
             # the rule on each tuple's floats and on the stack's columns
             rule = state_space._rank_from_ratios
@@ -685,17 +685,18 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
 
 def _in_order_sum(diagonal):
     """0 + the entries of the last axis added left to right, by numpy's
-    accumulate rather than by a loop of _diagonal_sum's kind."""
+    accumulate rather than by a loop of _trace's kind."""
     return 0 + np.add.accumulate(diagonal, axis=-1)[..., -1]
 
 
 @pytest.mark.parametrize("N", [*range(2, 21), 63, 64, 65, 100, 130])
-def test_diagonal_sum_is_the_trace_bit_for_bit(N):
+def test_trace_sums_the_diagonal_in_order_bit_for_bit(N):
     # on one matrix's Python complex numbers and on a stack's diagonal
-    # columns, _diagonal_sum adds left to right from 0, so it equals an
-    # in-order reference and a stacked trace equals its matrix's: for
-    # diagonals of magnitude 1e-8 to 1e8, signed zeros and, past float64,
-    # infinities and NaNs
+    # columns, _trace adds left to right from 0, so it equals an in-order
+    # reference and a stacked trace equals its matrix's: for diagonals of
+    # magnitude 1e-8 to 1e8, signed zeros and, past float64, infinities and
+    # NaNs.  The (N, 2, N) diagonals are a stack with two leading axes,
+    # which a reader of d.T's lanes would sum transposed
     rng = np.random.default_rng(2500 + N)
     for shape in ((N, N), (3, N), (N, 2, N)):  # of (N, N, N), (B, N, N) and (N, B, N, N) stacks
         parts = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-8, 8, (2,) + shape)
@@ -716,8 +717,8 @@ def test_diagonal_sum_is_the_trace_bit_for_bit(N):
             stack[..., np.arange(N), np.arange(N)] = diagonal
             with np.errstate(invalid="ignore"):  # inf - inf
                 trace = _in_order_sum(diagonal)
-                lanes = invariants._diagonal_sum([stack[..., i, i] for i in range(N)])
-                single = [invariants._diagonal_sum(row) for row in diagonal.reshape(-1, N).tolist()]
+                lanes = invariants._trace(stack)
+                single = [invariants._trace(m) for m in stack.reshape(-1, N, N)]
             assert _same_bits(lanes, trace), (name, shape)
             assert _same_bits(np.array(single), trace.ravel()), (name, shape)
 
@@ -733,14 +734,18 @@ def test_stacked_core_copies_the_single_verdict_of_a_row_it_flags(monkeypatch, N
     rhos[1] = np.diag(np.r_[1.0, np.zeros(N - 1)])  # pure
     rhos[3] = random_hermitian_unit_trace(N, rng)  # generically no state
     xis = np.array([to_bloch(rho) for rho in rhos])
-    newton = state_space._newton_coefficients
+    newton = state_space._newton
 
-    def nan_rows(T):
-        S = newton(T)
-        S[1::2] = np.nan
+    def nan_rows(t):
+        # NaN into the odd rows of the stacked core's columns only: the
+        # single route's Python floats stay finite
+        S = newton(t)
+        if isinstance(t[0], np.ndarray):
+            for column in S:
+                column[1::2] = np.nan
         return S
 
-    monkeypatch.setattr(state_space, "_newton_coefficients", nan_rows)
+    monkeypatch.setattr(state_space, "_newton", nan_rows)
     expected = [check_state_bloch(xi) for xi in xis]
     assert [v.is_state for v in expected] == [True] * 3 + [False] + [True] * 2
     for stack in (xis, rhos):
@@ -820,7 +825,7 @@ def _rank_rule_rows(tol):
     def spectrum(lam, rank):
         lam = np.asarray(lam, dtype=float)
         T = np.array([np.sum(lam**k) for k in range(1, len(lam) + 1)])
-        rows.append((_newton_coefficients(T), T, rank))
+        rows.append((np.array(_newton(T.tolist())), T, rank))
 
     for N in range(2, 13):
         for r in range(1, N + 1):  # exact rank r, with rounding noise past S_r
@@ -930,7 +935,9 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
 
 def test_bloch_route_runs_one_recursion_and_n_minus_1_products(monkeypatch):
     # check_state_bloch forms rho's powers by N - 1 matrix products and its
-    # S_k by one Newton recursion, for states and non-states alike
+    # S_k by one Newton recursion, on Python floats, for states and
+    # non-states alike; the stacked core runs the same recursion once, on
+    # the stack's columns, and forms its powers without from_bloch's matrix
     recursions, products = [], []
     newton, bloch = state_space._newton, state_space.from_bloch
 
@@ -944,7 +951,7 @@ def test_bloch_route_runs_one_recursion_and_n_minus_1_products(monkeypatch):
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     def counted_newton(t):
-        recursions.append(len(t))
+        recursions.append((len(t), type(t[0]).__name__))
         return newton(t)
 
     monkeypatch.setattr(state_space, "_newton", counted_newton)
@@ -956,23 +963,25 @@ def test_bloch_route_runs_one_recursion_and_n_minus_1_products(monkeypatch):
             recursions.clear()
             products.clear()
             verdict = check_state_bloch(xi)
-            assert (recursions, products) == ([N], ["__call__"] * (N - 1))
-            # the counted verdict is the stacked core's, which runs neither
+            assert (recursions, products) == ([(N, "float")], ["__call__"] * (N - 1))
+            # the counted verdict is the stacked core's: one more recursion,
+            # over columns, and no product of a from_bloch matrix
             assert check_states_bloch(xi[np.newaxis]) == [verdict]
-            assert (len(recursions), len(products)) == (1, N - 1)
+            assert recursions == [(N, "float"), (N, "ndarray")]
+            assert products == ["__call__"] * (N - 1)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_trace_route_equals_the_stacked_kernels_bit_for_bit(N):
     # the trace route has no stacked twin: the S, rank and margin it forms
-    # on each tuple's Python floats equal _newton_coefficients and _s_test
-    # on the columns of a stack of the tuples' traces, bit for bit, and it
+    # on each tuple's Python floats equal _newton and _s_test on the
+    # columns of a stack of the tuples' traces, bit for bit, and it
     # calls a matrix a state only where the stacked S_k test passes
     rng = np.random.default_rng(1400 + N)
     matrices = np.concatenate([sample_states(N, 20, seed=1400 + N), _route_style_corpus(N, 80, rng)])
     tuples = [trace_invariants(rho) for rho in matrices]
     T = np.array([t.values for t in tuples])
-    S = _newton_coefficients(T)
+    S = np.array(_newton(list(T.T))).T
     for tol in (POSITIVITY_TOL, 0.0, 1e-3):
         passes, rank, margin = state_space._s_test(list(S.T), list(T.T), tol)
         verdicts = [check_state_traces(t, tol) for t in tuples]

@@ -242,7 +242,8 @@ def _trace(a: np.ndarray):
     if a.ndim == 2:
         lanes = a.diagonal().tolist()
     else:
-        lanes = np.moveaxis(a.diagonal(0, -2, -1), -1, 0)
+        d = a.diagonal(0, -2, -1)
+        lanes = (d[..., i] for i in range(d.shape[-1]))
     total = 0
     for lane in lanes:
         total = total + lane

@@ -302,6 +302,8 @@ def rank2_curve_radius(phi: float) -> float:
     That is r_2 / sin(phi/3), with r_2 = 1/2 the corner radius of
     (1/2, 1/2, 0).  Stays within the Bloch ball for phi in [pi/2, 3pi/2].
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"orbit angles must be finite, got phi={phi}")
     s = math.sin(phi / 3.0)
     if s <= 0.0:
         raise ValueError(f"rank-2 curve undefined at phi={phi} (sin(phi/3) <= 0)")

@@ -8,14 +8,14 @@ rest of the library hangs off of them:
   the multiplication rule
       lam_i lam_j = (2/N) delta_ij I + sum_k (d_ijk + i f_ijk) lam_k,
   contracted from the nonzero generator entries over the triples
-  i <= j <= k, filled to every ordering by symmetry and kept as sparse
-  tables (no dense (N^2-1)^3 array is ever formed),
+  i <= j <= k and kept as sparse tables of those triples alone (no dense
+  (N^2-1)^3 array is ever formed),
 * the weight vectors of the defining representation (the halved diagonals
   of the Cartan generators),
 * the symmetric "vee" product (xi v eta)_k ~ d_ijk xi_i eta_j on adjoint
   vectors, as M(xi) eta with the symmetric contraction matrix
-  M(xi)_ik ~ d_ijk xi_j, which one bincount over the nonzero d_ijk forms
-  (casimirs builds it once and applies it twice), and
+  M(xi)_ik ~ d_ijk xi_j, which one bincount over every ordering of the
+  nonzero d_ijk forms (casimirs builds it once and applies it twice), and
 * the orthonormal Darboux frame spanning the traceless diagonal subspace
   of the eigenvalue simplex.
 
@@ -94,20 +94,19 @@ class StructureTensors:
     """Structure constants of su(N) as sparse tables.
 
     ``d_index``/``d_values`` (and ``f_index``/``f_values``) are the only
-    stored form: the constants in coordinate form over every ordered
-    triple, ``d_index`` a read-only (3, nnz) array of 0-based indices and
-    ``d_values`` the matching values, so d[d_index[0][m], d_index[1][m],
-    d_index[2][m]] = d_values[m].  Each ordered triple appears once, and
-    every ordering of a triple holds the same bits (f negated on the odd
-    orderings), since structure_constants contracts i <= j <= k only and
-    fills the rest by symmetry.  The canonical block comes first, sorted by
-    (i, j, k): i <= j <= k for d, i < j < k for f (f vanishes when two
-    indices agree).  The other orderings follow it, unsorted.
+    stored form: the constants in coordinate form over their canonical
+    triples alone, i <= j <= k for d and i < j < k for f (d is totally
+    symmetric, f totally antisymmetric and zero when two indices agree),
+    sorted by (i, j, k).  ``d_index`` is a read-only (3, nnz) array of
+    0-based indices and ``d_values`` the matching read-only values, so
+    d[d_index[0][m], d_index[1][m], d_index[2][m]] = d_values[m]; every
+    other ordering of a triple holds the same value (f negated on the odd
+    orderings).  Only the vee product reads d over every ordering, which
+    _vee_table forms from the canonical block; f's orderings are never
+    formed.
 
     The maps ``d`` and ``f``, derived from the tables on first read, hold
-    one representative per symmetry class: d for i <= j <= k (totally
-    symmetric), f for i < j < k (totally antisymmetric).  Keys are 1-based
-    index triples, in ascending order.
+    the same triples.  Keys are 1-based index triples, in ascending order.
     """
 
     dim: int
@@ -144,12 +143,12 @@ class StructureTensors:
 
     @cached_property
     def _vee_table(self) -> tuple:
-        """(j, flat (i, k) key i n + k, sqrt(N(N-1)/2) d_ijk) over the d
-        entries: what _contraction_matrix reads, formed once per table."""
-        i, j, k = self.d_index
+        """(j, flat (i, k) key i n + k, sqrt(N(N-1)/2) d_ijk) over every ordering
+        of the d entries: what _contraction_matrix reads, formed once per table."""
+        (i, j, k), values = _every_ordering(self.d_index, self.d_values)
         N = self.dim
-        scaled = np.sqrt(N * (N - 1) / 2.0) * self.d_values
-        return j, _readonly(i * self.size + k), _readonly(scaled)
+        scaled = np.sqrt(N * (N - 1) / 2.0) * values
+        return _readonly(j), _readonly(i * self.size + k), _readonly(scaled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,12 +318,11 @@ def _gram_defect(n: int, gram_key: np.ndarray, gram: np.ndarray):
     return np.abs(np.concatenate((diag - 2.0, gram[~on]))).max()
 
 
-def _every_ordering(index: np.ndarray, values: np.ndarray, odd_sign: float):
-    """The coordinate table over every ordered triple, from its canonical
-    block: the sorted columns (a, b, c), a <= b <= c, of index and their
-    values, which come first.  Each column adds its two other cyclic
-    orderings unless a = b = c, and its three odd orderings, carrying
-    odd_sign times its value, only if a < b < c.  Masks, no sort."""
+def _every_ordering(index: np.ndarray, values: np.ndarray):
+    """The d table over every ordered triple, from its canonical block, the
+    sorted columns (a, b, c), a <= b <= c, of index and their values, which
+    come first.  Each column adds its two other cyclic orderings unless
+    a = b = c, and its three odd orderings if a < b < c.  Masks, no sort."""
     a, b, c = index
     cyclic = a < c
     odd = (a < b) & (b < c)
@@ -334,17 +332,14 @@ def _every_ordering(index: np.ndarray, values: np.ndarray, odd_sign: float):
     np.concatenate((a, bc, cc, ao, bo, co), out=table[0])
     np.concatenate((b, cc, ac, co, ao, bo), out=table[1])
     np.concatenate((c, ac, bc, bo, co, ao), out=table[2])
-    cv, ov = values[cyclic], odd_sign * values[odd]
-    return _readonly(table), _readonly(np.concatenate((values, cv, cv, ov, ov, ov)))
+    cv, ov = values[cyclic], values[odd]
+    return table, np.concatenate((values, cv, cv, ov, ov, ov))
 
 
 def _canonical_rows(tensors: StructureTensors, name: str) -> tuple:
-    """1-based i, j, k lists and the value list over the sorted triples of
-    the d table (i <= j <= k) or the f table (i < j < k), in stored order."""
+    """1-based i, j, k lists and the value list of the d or f table, in stored order."""
     index, values = getattr(tensors, f"{name}_index"), getattr(tensors, f"{name}_values")
-    i, j, k = index
-    keep = (i < j) & (j < k) if name == "f" else (i <= j) & (j <= k)
-    return (*(index[:, keep] + 1).tolist(), values[keep].tolist())
+    return (*(index + 1).tolist(), values.tolist())
 
 
 def structure_constants(basis: BasisSet) -> StructureTensors:
@@ -362,17 +357,17 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     Only the triples i <= j <= k are contracted.  For Hermitian generators
     T is invariant under cyclic permutations and turns into its complex
     conjugate under odd ones, so d is totally symmetric and f totally
-    antisymmetric (f vanishes when two indices agree), and the other
-    orderings of the stored tables are filled from the contracted ones:
-    every ordering of a d entry, or of an f entry i < j < k up to its sign,
-    holds the same bits.  Each table stores its canonical block first
-    (d: i <= j <= k, f: i < j < k, sorted by (i, j, k)), then the cyclic
-    and the odd orderings.  Entries below SPARSITY_THRESHOLD are dropped.
+    antisymmetric (f vanishes when two indices agree), and the contracted
+    triples determine every other ordering.  Each table stores its
+    canonical block alone (d: i <= j <= k, f: i < j < k), sorted by
+    (i, j, k), the order in which _triple_traces emits it; the vee product
+    forms d's other orderings from it, and f's are never formed.  Entries
+    below SPARSITY_THRESHOLD are dropped.
 
     Both gates read the same nonzero entries: the orthonormality gate the
     Gram tr(lam_i lam_j), i <= j, of the first join, and the Hermiticity
     gate max |lam_i - lam_i^dag|, held to HERMITIAN_TOL like every matrix
-    input, since the fill relies on it.
+    input, since the symmetries of d and f rely on it.
 
     Raises
     ------
@@ -401,14 +396,12 @@ def structure_constants(basis: BasisSet) -> StructureTensors:
     d, f = traces.real / 2.0, traces.imag / 2.0
     d_keep = np.abs(d) >= SPARSITY_THRESHOLD
     f_keep = (np.abs(f) >= SPARSITY_THRESHOLD) & (i < j) & (j < k)
-    d_index, d_values = _every_ordering(index[:, d_keep], d[d_keep], 1.0)
-    f_index, f_values = _every_ordering(index[:, f_keep], f[f_keep], -1.0)
     return StructureTensors(
         dim=basis.dim,
-        d_index=d_index,
-        d_values=d_values,
-        f_index=f_index,
-        f_values=f_values,
+        d_index=_readonly(index[:, d_keep]),
+        d_values=_readonly(d[d_keep]),
+        f_index=_readonly(index[:, f_keep]),
+        f_values=_readonly(f[f_keep]),
     )
 
 
@@ -447,8 +440,8 @@ def vee_product(xi: np.ndarray, eta: np.ndarray, tensors: StructureTensors) -> n
 def _contraction_matrix(xi: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     """M(xi)_ik = sqrt(N(N-1)/2) sum_j d_ijk xi_j, so that M(xi) eta = xi v eta.
 
-    One bincount over the d entries, keyed by their flat (i, k) pair; M is
-    symmetric, as d is.  Raises unless xi is a float vector of length N^2 - 1.
+    One bincount over every ordering of the d entries, keyed by flat (i, k);
+    M is symmetric, as d is.  Raises unless xi is a float vector of length N^2 - 1.
     """
     n = tensors.size
     if xi.shape != (n,):
@@ -483,11 +476,11 @@ def basis_to_json(basis: BasisSet) -> dict:
 
 def tensors_to_json(tensors: StructureTensors) -> dict:
     """JSON-ready dump of the sparse tables with 1-based index triples,
-    read straight off the canonical blocks of the coordinate tables
-    (i <= j <= k for d, i < j < k for f) in stored order.  That order is
-    sorted by (i, j, k), since _triple_traces emits sorted keys chunk by
-    chunk in ascending generator order, so the dump builds no map and
-    sorts nothing."""
+    read straight off the coordinate tables, which hold the canonical
+    triples alone (i <= j <= k for d, i < j < k for f), in stored order.
+    That order is sorted by (i, j, k), since _triple_traces emits sorted
+    keys chunk by chunk in ascending generator order, so the dump builds
+    no map and sorts nothing."""
     payload = {"N": tensors.dim}
     for name in ("d", "f"):
         rows = zip(*_canonical_rows(tensors, name))

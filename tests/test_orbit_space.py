@@ -394,6 +394,10 @@ def test_rank2_curve_radius_endpoints():
     assert rank2_curve_radius(3.0 * math.pi / 2.0) == pytest.approx(0.5, abs=EXACT_TOL)
     with pytest.raises(ValueError):
         rank2_curve_radius(0.0)
+    # a NaN passes "sin(phi/3) <= 0" and inf reaches math.sin's domain error
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^orbit angles must be finite, got phi={phi}$"):
+            rank2_curve_radius(phi)
 
 
 def test_rank2_curve_gives_rank2_spectra():

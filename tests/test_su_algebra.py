@@ -35,11 +35,15 @@ VEE_TOL = 1e-13
 
 
 def dense(t, name):
-    """The dense (N^2-1)^3 array of d or f, scattered from the library's own
-    coordinate table t.d_index/t.d_values or t.f_index/t.f_values."""
+    """The dense (N^2-1)^3 array of d or f, scattered here from the library's
+    canonical coordinate table t.d_index/t.d_values or t.f_index/t.f_values
+    into all six orderings of each triple, f negated on the odd ones."""
     n = t.size
     out = np.zeros((n, n, n))
-    out[tuple(getattr(t, name + "_index"))] = getattr(t, name + "_values")
+    index, values = getattr(t, name + "_index"), getattr(t, name + "_values")
+    for perm in itertools.permutations(range(3)):
+        sign = su_algebra._permutation_sign(perm) if name == "f" else 1.0
+        out[tuple(index[list(perm)])] = sign * values
     return out
 
 
@@ -436,9 +440,12 @@ def test_sparse_build_matches_dense_reference():
         assert list(t.d) == list(d_map) and list(t.f) == list(f_map)
         assert max((abs(t.d[k] - v) for k, v in d_map.items()), default=0.0) <= REFERENCE_TOL
         assert max((abs(t.f[k] - v) for k, v in f_map.items()), default=0.0) <= REFERENCE_TOL
-        # the coordinate lists cover exactly the nonzero ordered triples
-        assert np.array_equal(np.sort(np.ravel_multi_index(t.d_index, d.shape)), np.flatnonzero(d))
-        assert np.array_equal(np.sort(np.ravel_multi_index(t.f_index, f.shape)), np.flatnonzero(f))
+        # the coordinate tables cover exactly the canonical nonzero triples,
+        # sorted by (i, j, k): i <= j <= k for d, i < j < k for f
+        i, j, k = index = np.array(np.nonzero(d))
+        assert np.array_equal(t.d_index, index[:, (i <= j) & (j <= k)])
+        i, j, k = index = np.array(np.nonzero(f))
+        assert np.array_equal(t.f_index, index[:, (i < j) & (j < k)])
         assert np.max(np.abs(dense(t, "d") - d)) <= REFERENCE_TOL
         assert np.max(np.abs(dense(t, "f") - f)) <= REFERENCE_TOL
 
@@ -535,7 +542,8 @@ def test_library_paths_build_no_dense_tensor():
     casimirs(xi, t)
     tensors_to_json(t)
     assert "d_dense" not in vars(t) and "f_dense" not in vars(t)
-    assert not t.d_values.flags.writeable and not t.d_index.flags.writeable
+    for table in (t.d_index, t.d_values, t.f_index, t.f_values, *t._vee_table):
+        assert not table.flags.writeable
 
 
 def all_orderings_reference(basis):
@@ -602,29 +610,30 @@ def _cases(rotated, chunked):
 @pytest.mark.parametrize("basis, chunked", _cases(rotated=range(2, 7), chunked=(5, 6)))
 def test_canonical_triples_keep_the_all_orderings_bits(basis, chunked, monkeypatch):
     # contracting i <= j <= k only sums the same products in the same order:
-    # the canonical entries, the maps and the JSON dump are the reference's bits
+    # the stored tables, the maps and the JSON dump are the reference's bits
     if chunked:
         joins = _contract_in_chunks(monkeypatch)
     t = structure_constants(basis)
     if chunked:
         assert len(joins) // 2 >= 10  # two joins per chunk
     d_index, d_values, f_index, f_values = all_orderings_reference(basis)
+    # the vee product's orderings of d cover the reference's ordered d
+    # triples, each within rounding
+    every_index, every_values = su_algebra._every_ordering(t.d_index, t.d_values)
+    assert every_values.size == d_values.size
+    order = np.lexsort(every_index[::-1])
+    assert np.array_equal(every_index[:, order], d_index)
+    assert np.max(np.abs(every_values[order] - d_values), initial=0.0) <= REFERENCE_TOL
+    blocks = []
     for name, index, values in (("d", d_index, d_values), ("f", f_index, f_values)):
         i, j, k = index
         canonical = (i < j) & (j < k) if name == "f" else (i <= j) & (j <= k)
-        m = int(canonical.sum())
-        stored_index, stored_values = getattr(t, f"{name}_index"), getattr(t, f"{name}_values")
-        # the canonical block comes first, sorted, with the reference's bits
-        assert np.array_equal(stored_index[:, :m], index[:, canonical])
-        assert stored_values[:m].tobytes() == values[canonical].tobytes()
-        # the filled table covers the same ordered triples, each within rounding
-        assert stored_values.size == values.size
-        order = np.lexsort(stored_index[::-1])
-        assert np.array_equal(stored_index[:, order], index)
-        assert np.max(np.abs(stored_values[order] - values), initial=0.0) <= REFERENCE_TOL
-    reference = StructureTensors(
-        dim=basis.dim, d_index=d_index, d_values=d_values, f_index=f_index, f_values=f_values
-    )
+        index, values = index[:, canonical], values[canonical]
+        # the stored table is the canonical block, sorted, with the reference's bits
+        assert np.array_equal(getattr(t, f"{name}_index"), index)
+        assert getattr(t, f"{name}_values").tobytes() == values.tobytes()
+        blocks += [index, values]
+    reference = StructureTensors(basis.dim, *blocks)
     assert json.dumps(tensors_to_json(t)) == json.dumps(tensors_to_json(reference))
     assert t.d == reference.d and t.f == reference.f
     # c2 is the same float; c3..c6 move by rounding in the vee sums alone
@@ -647,13 +656,22 @@ def test_canonical_triples_keep_the_all_orderings_bits(basis, chunked, monkeypat
 )
 def test_stored_tables_are_exactly_symmetric(basis, chunked, monkeypatch):
     # every ordering of a triple holds the same bits: d totally symmetric,
-    # f totally antisymmetric, each ordered triple stored once
+    # f totally antisymmetric, each canonical triple stored once
     if chunked:
         _contract_in_chunks(monkeypatch)
     t = structure_constants(basis)
     for name in ("d", "f"):
         D = dense(t, name)
-        assert np.count_nonzero(D) == getattr(t, f"{name}_values").size
+        if name == "d":
+            # d's expansion for the vee product lists each ordered triple once
+            # (its sorted flat keys are the dense array's nonzeros), with the
+            # bits of its canonical entry
+            index, values = su_algebra._every_ordering(t.d_index, t.d_values)
+            assert np.array_equal(np.sort(np.ravel_multi_index(index, D.shape)), np.flatnonzero(D))
+            assert D[tuple(index)].tobytes() == values.tobytes()
+        else:
+            # six orderings of each f triple, whose indices are distinct
+            assert np.count_nonzero(D) == 6 * t.f_values.size
         for perm in itertools.permutations(range(3)):
             odd = su_algebra._permutation_sign(perm) < 0
             sign = -1.0 if name == "f" and odd else 1.0
@@ -662,8 +680,8 @@ def test_stored_tables_are_exactly_symmetric(basis, chunked, monkeypatch):
 
 def test_structure_constants_refuse_a_non_hermitian_basis():
     # tr(l_i l_j) is still 2 delta_ij, but l_1 - l_1^dag = 2i sinh(s) lam_4,
-    # so T_acb = conj T_abc fails and the tables filled by symmetry would be
-    # wrong
+    # so T_acb = conj T_abc fails and the orderings read by symmetry would
+    # be wrong
     s = 0.3
     basis = complex_mixed_basis(s)
     gram = np.einsum("aij,bji->ab", basis.elements, basis.elements)

@@ -13,11 +13,13 @@ traces of a matrix are formed by one running product (_power_traces),
 summed off each power's diagonal left to right (_trace) and screened
 once, by one rule (_refused), on one matrix's Python complex numbers and
 on a stack's arrays alike, and come out of _screened as Python floats.
-Every tuple is built by the one constructor and meets its checks.  One
-tuple's S_k, Newton extension (_extension, which B reads without
-building a tuple) and verdict are formed on its floats, converted once
-per tuple, and check_state_bloch runs the same helpers on a matrix's
-floats without building a tuple.
+Every tuple is built by the one constructor and meets its checks, and a
+matrix's tuple holds t_1..t_N, which generate the invariants.  Every t_k
+past those comes from the one Newton extension (_extension, which B
+reads without building a tuple).  One tuple's S_k, extension and verdict
+are formed on its floats, converted once per tuple, and
+check_state_bloch runs the same helpers on a matrix's floats without
+building a tuple.
 
 Every matrix input of the package meets one Hermiticity gate here,
 max |rho - rho^dag| <= HERMITIAN_TOL, which refuses a NaN defect too.
@@ -59,7 +61,7 @@ _CASIMIR_SAFE_C2 = 1e50
 
 @dataclass(frozen=True, eq=False)
 class TraceInvariants:
-    """Power-sum traces t_1..t_m of an N x N unit-trace Hermitian matrix.
+    """Power-sum traces t_1..t_m (m >= N) of an N x N unit-trace Hermitian matrix.
 
     values[k-1] holds t_k; t_0 = N by convention.  values is the tuple's
     own read-only float64 copy of what it was built from (an array, a
@@ -67,15 +69,15 @@ class TraceInvariants:
     constructor is the only way a tuple is built, and it refuses a dim
     that is not an int >= 1, values that are not one-dimensional or not
     real (complex numbers, even with a zero imaginary part, booleans and
-    text are not cast), and a NaN or infinite value, named by the lowest
-    such t_k.  The traces are also held as Python floats, converted once,
-    on which S_1..S_N, the Newton extension and the trace route's verdict
-    are formed.  That makes its derived invariants safe to keep: S_1..S_N (as
-    floats, and as char_coefficients' read-only array), the Bezoutian
-    (gathered from the extension's screened floats, so finite) and its
-    determinant are each formed at most once per tuple, on first use, and
-    handed out read-only; so is the trace route's test that B is positive
-    semidefinite.
+    text are not cast), a NaN or infinite value, named by the lowest such
+    t_k, and then fewer than N values.  The traces are also held as
+    Python floats, converted once, on which S_1..S_N (stored once), the
+    Newton extension, the one source of each t_k past those held, and the
+    trace route's verdict are formed.  Its derived invariants are safe to
+    keep: S_1..S_N, the Bezoutian (gathered from the extension's screened
+    floats, so finite), its determinant and the trace route's test that B
+    is positive semidefinite are each formed at most once per tuple, on
+    first use, and handed out read-only.
     """
 
     dim: int
@@ -95,9 +97,12 @@ class TraceInvariants:
         if values.ndim != 1:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         values = _readonly(values.astype(float, copy=False))
+        t = _finite_traces(values.tolist())
+        if len(t) < dim:
+            raise ValueError(f"values must hold t_1..t_{dim}, got {len(t)} traces")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_t", _finite_traces(values.tolist()))
+        object.__setattr__(self, "_t", t)
 
     @property
     def order(self) -> int:
@@ -113,15 +118,7 @@ class TraceInvariants:
     @cached_property
     def _S(self) -> list:
         """S_1..S_N as Python floats, by _newton on the tuple's t_1..t_N."""
-        if self.order < self.dim:
-            raise ValueError(
-                f"need t_1..t_{self.dim} to form S_1..S_{self.dim}, have order {self.order}"
-            )
         return _finite_coefficients(_newton(self._t[: self.dim]))
-
-    @cached_property
-    def _S_array(self) -> np.ndarray:
-        return _readonly(np.array(self._S))
 
     @cached_property
     def _bezoutian(self) -> np.ndarray:
@@ -167,15 +164,13 @@ class CasimirValues:
         return {"c2": self.c2, "c3": self.c3, "c4": self.c4, "c5": self.c5, "c6": self.c6}
 
 
-def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariants:
-    """Compute t_k = tr(rho^k) for k = 1..upto by repeated multiplication.
+def trace_invariants(rho: np.ndarray) -> TraceInvariants:
+    """Compute t_k = tr(rho^k) for k = 1..N by repeated multiplication.
 
     Parameters
     ----------
     rho : ndarray
         Hermitian N x N matrix (defect above HERMITIAN_TOL, or NaN, raises).
-    upto : int, optional
-        Highest power; defaults to N.
 
     Notes
     -----
@@ -183,21 +178,18 @@ def trace_invariants(rho: np.ndarray, upto: int | None = None) -> TraceInvariant
     against HERMITIAN_TOL (relative to the trace magnitude) and discarded.
     A trace that overflows float64 is refused too.  The lowest power with
     a residue or an overflow names it in the error.  The real parts go to
-    the TraceInvariants constructor, whose checks every tuple meets.
+    the TraceInvariants constructor, whose checks every tuple meets; each
+    t_k past N comes from the Newton extension (newton_extend).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     _require_hermitian(rho)
-    if upto is None:
-        upto = rho.shape[0]
-    if upto < 1:
-        raise ValueError(f"need at least t_1, got upto={upto}")
-    return TraceInvariants(rho.shape[0], _screened(*_power_traces(rho, upto)))
+    return TraceInvariants(rho.shape[0], _screened(*_power_traces(rho)))
 
 
 def _screened(tk: list, refused: list) -> list:
-    """One matrix's traces t_1..t_upto as Python floats, from the complex
+    """One matrix's traces t_1..t_N as Python floats, from the complex
     traces and the refusal mask of _power_traces: the lowest refused power
     raises, named for leaving float64 or for its imaginary residue.  The
     one screen of trace_invariants and check_state_bloch."""
@@ -210,19 +202,19 @@ def _screened(tk: list, refused: list) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _power_traces(rho: np.ndarray, upto: int):
-    """tr(rho^k), k = 1..upto, over the leading axes of a (..., N, N) array,
+def _power_traces(rho: np.ndarray):
+    """tr(rho^k), k = 1..N, over the leading axes of a (..., N, N) array,
     for trace_invariants and check_states_bloch alike, and _refused's mask
     of the traces trace_invariants refuses.  One running product p = p rho,
     from a C-ordered copy of rho, serves one matrix and a stack, and each
     power's _trace is read as it is formed.  One matrix gets its traces and
     mask as lists of Python complex numbers and bools; a stack gets them as
-    complex (upto, ...) and bool arrays, power first.  Powers that overflow
+    complex (N, ...) and bool arrays, power first.  Powers that overflow
     raise no RuntimeWarning.
     """
     p = np.ascontiguousarray(rho)
     tk = [_trace(p)]
-    for _ in range(1, upto):
+    for _ in range(1, rho.shape[-1]):
         p = p @ rho
         tk.append(_trace(p))
     if rho.ndim == 2:
@@ -284,10 +276,11 @@ def char_coefficients(t: TraceInvariants) -> np.ndarray:
 
     k S_k = sum_{i=1..k} (-1)^(i-1) S_{k-i} t_i with S_0 = 1.  S_k equals
     the k-th elementary symmetric polynomial of the eigenvalues.  Formed
-    once per tuple; the array is read-only.  An S_k that leaves float64
-    raises, naming the lowest such k (the tuple holds no non-finite t_k).
+    once per tuple and stored as its Python floats; each call returns a
+    fresh read-only array of them.  An S_k that leaves float64 raises,
+    naming the lowest such k (the tuple holds no non-finite t_k).
     """
-    return t._S_array
+    return _readonly(np.array(t._S))
 
 
 def _newton(t: list) -> list:

@@ -117,10 +117,7 @@ def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
     RuntimeWarning.
     """
     N = coords.dim
-    if not coords.radius >= 0.0:
-        raise ValueError(f"orbit radius must be nonnegative, got {coords.radius}")
-    if coords.radius == math.inf:
-        raise ValueError(f"orbit radius must be finite, got {coords.radius}")
+    _require_orbit_radius(coords.radius)
     n = unit_vector(N, coords.angles)
     mu = weight_vectors(N).weights
     # the scaled radius may overflow to inf, and inf * 0 is NaN
@@ -131,6 +128,14 @@ def spectrum_from_orbit(coords: OrbitCoordinates) -> OrbitSpectrum:
         raise ValueError(f"eigenvalue r_{i + 1} of orbit radius {coords.radius} leaves the float64 range")
     ordered = np.sort(raw)[::-1]
     return OrbitSpectrum(raw=raw, ordered=ordered, valid=bool(ordered[-1] >= -ORDER_TOL))
+
+
+def _require_orbit_radius(r: float) -> None:
+    """Refuse a negative, NaN (the negated >=) or infinite orbit radius."""
+    if not r >= 0.0:
+        raise ValueError(f"orbit radius must be nonnegative, got {r}")
+    if r == math.inf:
+        raise ValueError(f"orbit radius must be finite, got {r}")
 
 
 def cartan_moduli(spectrum: np.ndarray) -> np.ndarray:
@@ -288,11 +293,12 @@ def effective_radius(kind: str, r: float) -> float:
 def embedded_radii(N: int, r: float) -> dict:
     """effective_radius, by kind, of each embedding of a dimension-N qudit
     whose rank-k stratum reaches the orbit radius r (r >= r_k), the larger
-    embedded qudit first; empty where no rank-deficient stratum does."""
+    embedded qudit first; empty where no rank-deficient stratum does (the
+    negated < hands a NaN r to effective_radius, which refuses it)."""
     return {
         kind: effective_radius(kind, r)
         for (n, k), kind in _EMBEDDINGS.items()
-        if n == N and r >= _corner_radius(N, k)
+        if n == N and not r < _corner_radius(N, k)
     }
 
 
@@ -325,8 +331,12 @@ def trisectrix_residual(r: float, phi: float) -> float:
 
     With x = r cos(phi), y = r sin(phi) and node parameter a = r_2 = 1/2
     the curve is (x^2 + y^2)(y - 3a) + 4a^3 = 0; the rank-2 qutrit stratum
-    r = 1/(2 sin(phi/3)) makes the residual vanish identically.
-    """
+    r = 1/(2 sin(phi/3)) makes the residual vanish identically.  A NaN or
+    infinite r or phi raises."""
+    if not math.isfinite(r):
+        raise ValueError(f"orbit radius must be finite, got {r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"orbit angles must be finite, got phi={phi}")
     a = _corner_radius(3, 2)
     y = r * np.sin(phi)
     return float(r * r * (y - 3.0 * a) + 4.0 * a**3)
@@ -467,9 +477,10 @@ def darboux_point(coords: OrbitCoordinates) -> np.ndarray:
 
     The frame coefficients are s_a = sqrt((N-1)/N) r n_a, i.e. the point
     on the intersection sphere in frame coordinates; agrees with
-    spectrum_from_orbit identically.
+    spectrum_from_orbit identically, and refuses the radii it refuses.
     """
     N = coords.dim
+    _require_orbit_radius(coords.radius)
     n = unit_vector(N, coords.angles)
     frame = darboux_frame(N)
     s = _sphere_radius(N, coords.radius) * n

@@ -87,7 +87,7 @@ from .invariants import (
     _screened,
     _trace,
 )
-from .su_algebra import gell_mann_basis
+from .su_algebra import _readonly, gell_mann_basis
 
 # Default slack on the positivity conditions S_k >= 0.
 POSITIVITY_TOL = 1e-9
@@ -143,13 +143,10 @@ def dim_from_bloch(xi) -> int:
 def _bloch_tables(N: int) -> tuple:
     """The tables of the Bloch map and its projection at N, built once:
     the basis as an (N^2 - 1, N, 2N) real view of (re, im) pairs,
-    bloch_scale(N), its double (the projection's divisor) and I/N, the
-    centre of the embedding, as a complex N x N array.  The arrays are
-    read-only."""
-    centre = np.eye(N, dtype=complex) / N
-    centre.flags.writeable = False
-    scale = bloch_scale(N)
-    return gell_mann_basis(N).elements.view(float), scale, 2.0 * scale, centre
+    bloch_scale(N) and I/N, the centre of the embedding, as a complex
+    N x N array.  The arrays are read-only."""
+    centre = _readonly(np.eye(N, dtype=complex) / N)
+    return gell_mann_basis(N).elements.view(float), bloch_scale(N), centre
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -176,7 +173,7 @@ def from_bloch(xi: np.ndarray) -> np.ndarray:
 def _bloch_map(xi: np.ndarray, N: int) -> np.ndarray:
     """from_bloch's map over the leading axes of a (..., N^2 - 1) array:
     sum_i xi_i lam_i formed as real (re, im) pairs, read back as complex."""
-    lam, scale, _, centre = _bloch_tables(N)
+    lam, scale, centre = _bloch_tables(N)
     pairs = np.einsum("...i,ijk->...jk", xi, lam, order="C")
     return centre + scale * pairs.view(complex)
 
@@ -186,9 +183,9 @@ def _bloch_projection(rho: np.ndarray, N: int) -> np.ndarray:
     Re tr(lam_i rho) from rho's contiguous (re, im) pairs, without the
     imaginary half.  tr(lam_i rho) takes lam_i^T as (re, -im) pairs, which
     for a Hermitian lam_i are lam_i's own: the map's real table serves."""
-    lam, _, divisor, _ = _bloch_tables(N)
+    lam, scale, _ = _bloch_tables(N)
     pairs = np.ascontiguousarray(rho).view(float)
-    return np.einsum("ijk,...jk->...i", lam, pairs) / divisor
+    return np.einsum("ijk,...jk->...i", lam, pairs) / (2.0 * scale)
 
 
 def to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -393,7 +390,7 @@ def check_state_bloch(xi: np.ndarray, tol: float = POSITIVITY_TOL) -> StateClass
     """
     rho = from_bloch(xi)
     N = rho.shape[0]
-    t = _screened(*_power_traces(rho, N))  # from_bloch's rho is exactly Hermitian
+    t = _screened(*_power_traces(rho))  # from_bloch's rho is exactly Hermitian
     return _classify(_finite_coefficients(_newton(t)), t, N, tol)
 
 
@@ -440,7 +437,7 @@ def _stack_columns(stack: np.ndarray, N: int, tol: float) -> tuple:
     # stacked pass flags them without a RuntimeWarning
     with np.errstate(all="ignore"):
         xis = _bloch_projection(stack, N) if matrices else stack
-        tk, refused = _power_traces(_bloch_map(xis, N), N)
+        tk, refused = _power_traces(_bloch_map(xis, N))
         t = list(tk.real)
         S = _newton(t)
         is_state, rank, margin = (c.tolist() for c in _s_test(S, t, tol))

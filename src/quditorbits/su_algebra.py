@@ -452,16 +452,14 @@ def _contraction_matrix(xi: np.ndarray, tensors: StructureTensors) -> np.ndarray
     return np.bincount(key, weights=scaled * xi[j], minlength=n * n).reshape(n, n)
 
 
-@lru_cache(maxsize=None)
 def darboux_frame(N: int) -> np.ndarray:
     """Orthonormal frame e^(a) = sqrt(2) mu^(a) on the eigenvalue simplex.
 
-    Returns an (N-1, N) array whose rows span the traceless diagonal
+    Returns a new (N-1, N) array whose rows span the traceless diagonal
     directions: e^(a) . e^(b) = delta_ab and each row is orthogonal to the
     barycenter direction (1, ..., 1)/N.
     """
-    mu = weight_vectors(N).weights
-    return _readonly(np.sqrt(2.0) * mu.T.copy())
+    return np.sqrt(2.0) * weight_vectors(N).weights.T.copy()
 
 
 def basis_to_json(basis: BasisSet) -> dict:

@@ -293,7 +293,7 @@ def test_criterion_06_quatrit_closed_forms():
         if coords.degenerate_angles:
             continue
         phi, theta = coords.angles
-        t = trace_invariants(np.diag(spectrum.astype(complex)), upto=4)
+        t = trace_invariants(np.diag(spectrum.astype(complex)))
         t2, t3, t4 = quatrit_trace_from_angles(coords.radius, theta, phi)
         assert abs(t2 - t.t(2)) < CLOSED_FORM_TOL
         assert abs(t3 - t.t(3)) < CLOSED_FORM_TOL

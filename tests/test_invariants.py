@@ -44,10 +44,19 @@ def test_trace_invariants_maximally_mixed():
         assert t.t(0) == N
 
 
+def direct_traces(rho, upto):
+    """tr(rho^k), k = 1..upto, from the test's own matrix powers."""
+    return [np.trace(np.linalg.matrix_power(rho, k)).real for k in range(1, upto + 1)]
+
+
 def test_trace_invariants_pure():
+    # a matrix's tuple is exactly t_1..t_N; a pure state's power traces are
+    # all 1, past N too, read here off the matrix powers, not the recursion
     rho = diag_state(1.0, 0.0, 0.0)
-    t = trace_invariants(rho, upto=5)
-    assert all(t.t(k) == pytest.approx(1.0, abs=1e-14) for k in range(1, 6))
+    t = trace_invariants(rho)
+    assert t.order == 3
+    assert all(t.t(k) == pytest.approx(1.0, abs=1e-14) for k in range(1, 4))
+    assert direct_traces(rho, 5) == pytest.approx([1.0] * 5, abs=1e-14)
 
 
 def test_trace_invariants_rejects_non_hermitian():
@@ -162,6 +171,22 @@ def test_newton_extension_leaving_float64_is_refused():
     assert np.isfinite(bezoutian(t)).all()
     with pytest.raises(ValueError, match="discriminant leaves the float64 range"):
         discriminant(t)
+
+
+def test_short_trace_tuple_is_refused_at_construction():
+    with pytest.raises(ValueError, match=r"^values must hold t_1\.\.t_3, got 2 traces$"):
+        TraceInvariants(dim=3, values=[1.0, 0.4])
+    # the earlier checks keep their messages: the dim, the shape and
+    # finiteness are refused first
+    with pytest.raises(ValueError, match=r"^dim must be an int >= 1, got 0$"):
+        TraceInvariants(dim=0, values=[])
+    with pytest.raises(ValueError, match=r"^values must be one-dimensional, got shape \(\)$"):
+        TraceInvariants(dim=3, values=1.0)
+    with pytest.raises(ValueError, match=r"^trace t_2 = nan is not finite$"):
+        TraceInvariants(dim=3, values=[1.0, np.nan])
+    for dim in (1, 4):
+        with pytest.raises(ValueError, match=rf"^values must hold t_1\.\.t_{dim}, got 0 traces$"):
+            TraceInvariants(dim=dim, values=[])
 
 
 def test_trace_tuple_from_tuple_or_list():
@@ -389,10 +414,10 @@ def test_traces_from_casimirs_matches_direct_traces():
             xi = to_bloch(rho)
             c = casimirs(xi, tensors)
             t2, t3, t4 = traces_from_casimirs(c, N)
-            t = trace_invariants(rho, upto=4)
-            assert t2 == pytest.approx(t.t(2), abs=CHAIN_TOL)
-            assert t3 == pytest.approx(t.t(3), abs=CHAIN_TOL)
-            assert t4 == pytest.approx(t.t(4), abs=CHAIN_TOL)
+            direct = direct_traces(rho, 4)  # past t_N at N = 2, 3
+            assert t2 == pytest.approx(direct[1], abs=CHAIN_TOL)
+            assert t3 == pytest.approx(direct[2], abs=CHAIN_TOL)
+            assert t4 == pytest.approx(direct[3], abs=CHAIN_TOL)
     c = casimirs(np.zeros(3), algebra_tensors(2))
     for N in (1, 0):
         with pytest.raises(ValueError, match=f"^need N >= 2, got {N}$"):
@@ -470,7 +495,7 @@ def test_quatrit_trace_from_angles_matches_direct():
         coords = OrbitCoordinates(dim=4, radius=r, angles=np.array([phi, theta]))
         spec = spectrum_from_orbit(coords).raw
         rho = np.diag(spec.astype(complex))
-        t = trace_invariants(rho, upto=4)
+        t = trace_invariants(rho)
         t2, t3, t4 = quatrit_trace_from_angles(r, theta, phi)
         assert t2 == pytest.approx(t.t(2), abs=CLOSED_FORM_TOL)
         assert t3 == pytest.approx(t.t(3), abs=CLOSED_FORM_TOL)
@@ -482,14 +507,12 @@ def test_trace_invariants_range_errors():
         trace_invariants(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
         trace_invariants(np.full(4, 0.25))
-    for upto in (0, -1):
-        with pytest.raises(ValueError, match=f"^need at least t_1, got upto={upto}$"):
-            trace_invariants(diag_state(0.5, 0.5), upto=upto)
     t = trace_invariants(diag_state(0.5, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^t_3 not available \(have t_1\.\.t_2\)$"):
         t.t(3)
-    with pytest.raises(ValueError):
-        char_coefficients(trace_invariants(diag_state(0.5, 0.5), upto=1))
+    # a truncated tuple is refused where it is built, not when S is read
+    with pytest.raises(ValueError, match=r"^values must hold t_1\.\.t_2, got 1 traces$"):
+        TraceInvariants(dim=2, values=t.values[:1])
     # a tuple with no dimension N >= 1, or with values that are no
     # one-dimensional sequence of reals, is refused where it is built,
     # naming the field, before any invariant can read it

@@ -350,6 +350,16 @@ def test_embedded_radii_follow_the_corner_radii():
     assert embedded_radii(2, 0.7) == embedded_radii(5, 0.7) == {}
 
 
+def test_embedded_radii_refuse_a_nan_radius():
+    # NaN reaches effective_radius's refusal, as inf does, instead of
+    # reading as a radius short of every stratum
+    for N, kind, lo in ((3, "qubit-in-qutrit", 0.5), (4, "qutrit-in-quatrit", 1 / 3)):
+        for r in (math.nan, math.inf):
+            message = f"{kind} stratum exists for r in [{lo:.6f}, 1], got r={r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                embedded_radii(N, r)
+
+
 def test_rank_strata_reads_the_embedding_of_its_rank():
     cases = {
         (0.7, 0.3, 0.0): "qubit-in-qutrit",
@@ -415,6 +425,16 @@ def test_trisectrix_special_points():
     assert abs(trisectrix_residual(0.5, math.pi / 2.0)) > 1e-3
 
 
+def test_trisectrix_refuses_non_finite_points():
+    # refused by name, without a RuntimeWarning (which the suite makes an error)
+    for r in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^orbit radius must be finite, got {r}$"):
+            trisectrix_residual(r, 1.0)
+    for phi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^orbit angles must be finite, got phi={phi}$"):
+            trisectrix_residual(0.5, phi)
+
+
 def test_trisectrix_vanishes_on_rank2_curve():
     for phi in np.linspace(math.pi / 2.0, 3.0 * math.pi / 2.0, 100):
         r = rank2_curve_radius(phi)
@@ -442,6 +462,18 @@ def test_darboux_point_matches_spectrum():
             angles = rng.uniform(0.0, math.pi, size=N - 2)
             c = coords(N, r, *angles)
             assert np.max(np.abs(darboux_point(c) - spectrum_from_orbit(c).raw)) < EXACT_TOL
+
+
+def test_darboux_point_refuses_what_spectrum_from_orbit_refuses():
+    for r, message in (
+        (math.nan, "orbit radius must be nonnegative, got nan"),
+        (-0.5, "orbit radius must be nonnegative, got -0.5"),
+        (math.inf, "orbit radius must be finite, got inf"),
+    ):
+        for N, angles in ((2, ()), (3, (2.0,)), (4, (2.0, 1.0))):
+            for build in (darboux_point, spectrum_from_orbit):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build(coords(N, r, *angles))
 
 
 def test_triangle_image_of_qutrit_spectra():

@@ -554,7 +554,7 @@ def test_stacked_check_equals_scalar_check(N):
     skew = matrices[0].copy()
     skew[0, 1] += 5e-11
     traced = np.vstack([sample_states(N, 4, seed=N), skew[np.newaxis], residue[np.newaxis]])
-    rejected = _power_traces(traced, N)[1].any(axis=0)
+    rejected = _power_traces(traced)[1].any(axis=0)
     raises = [isinstance(_scalar(trace_invariants, rho), ValueError) for rho in traced]
     assert rejected.tolist() == raises
     assert rejected[5] == (N >= 3) and not rejected[:4].any()
@@ -591,13 +591,13 @@ def test_stacked_kernels_ignore_input_layout(N):
     xis = np.array([to_bloch(rho) for rho in matrices])
     maps = [state_space._bloch_map(xi, N).tobytes() for xi in xis]
     projections = [state_space._bloch_projection(rho, N).tobytes() for rho in matrices]
-    traces = [_power_traces(rho, N) for rho in matrices]
+    traces = [_power_traces(rho) for rho in matrices]
     traces = [(np.array(tk).tobytes(), refused) for tk, refused in traces]
     for name, xi_in in layouts(xis).items():
         assert [m.tobytes() for m in state_space._bloch_map(xi_in, N)] == maps, name
     for name, rho_in in layouts(matrices).items():
         assert [x.tobytes() for x in state_space._bloch_projection(rho_in, N)] == projections, name
-        tk, refused = _power_traces(rho_in, N)
+        tk, refused = _power_traces(rho_in)
         assert [(t.tobytes(), r) for t, r in zip(tk.T, refused.T.tolist())] == traces, name
 
     for (name, T_in), S_in in zip(layouts(T).items(), layouts(S).values()):
@@ -670,15 +670,15 @@ def test_real_bloch_kernels_keep_the_complex_einsums_bits(N):
                 for _ in range(N - 1):
                     powers.append(powers[-1] @ rho)
                 tk = _in_order_sum(np.diagonal(np.array(powers), axis1=-2, axis2=-1))
-                stacked, refused = _power_traces(rho, N)
+                stacked, refused = _power_traces(rho)
                 assert _same_bits(stacked, tk), name
                 assert np.array_equal(refused, _numpy_trace_screen(tk)), name
             for xi, rho in zip(xis, rhos):
                 assert _same_bits(state_space._bloch_map(xi, N), rho), name
                 projected = state_space._bloch_projection(rho, N)
                 assert _same_bits(projected, _complex_bloch_projection(rho, N)), name
-                single, refused = _power_traces(rho, N)
-                column = _power_traces(rho[np.newaxis], N)[0][:, 0]
+                single, refused = _power_traces(rho)
+                column = _power_traces(rho[np.newaxis])[0][:, 0]
                 assert _same_bits(np.array(single), column), name
                 assert refused == _numpy_trace_screen(np.array(single)).tolist(), name
 
@@ -788,9 +788,9 @@ def test_one_tuple_trace_screen_flags_what_the_stacked_mask_flags():
     infinite = np.diag([np.inf, 0.0, 0.0]).astype(complex)
     complex_inf = np.full((N, N), complex(np.inf, np.inf))
     for rho in (state, skew, residue, huge, infinite, complex_inf, np.full((N, N), np.nan + 0j)):
-        tk, refused = _power_traces(rho, N)
-        assert refused == _power_traces(rho[np.newaxis], N)[1][:, 0].tolist()
-    assert not any(_power_traces(skew, N)[1])
+        tk, refused = _power_traces(rho)
+        assert refused == _power_traces(rho[np.newaxis])[1][:, 0].tolist()
+    assert not any(_power_traces(skew)[1])
     with pytest.raises(ValueError, match=r"^trace of power 1 has imaginary residue 1\.200e-10$"):
         trace_invariants(residue)
     with pytest.raises(ValueError, match="^trace of power 2 leaves the float64 range$"):
@@ -798,7 +798,7 @@ def test_one_tuple_trace_screen_flags_what_the_stacked_mask_flags():
     # an infinite entry fails the Hermiticity gate (inf - inf), so the
     # screen is reached past it
     with pytest.raises(ValueError, match="^trace of power 1 leaves the float64 range$"):
-        _screened(*_power_traces(infinite, N))
+        _screened(*_power_traces(infinite))
 
 
 def test_margin_of_a_signed_zero_tie_is_the_last_zero():
@@ -915,7 +915,9 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         assert (len(recursions), len(determinants)) == (1, 1)
         assert check_state_traces(t) == verdict
         assert len(factorisations) == 1
-        assert char_coefficients(t) is char_coefficients(t)
+        # each call hands out a fresh read-only array of the one stored S
+        S = char_coefficients(t)
+        assert char_coefficients(t).tobytes() == S.tobytes() and not S.flags.writeable
         bezoutian(t)
         assert discriminant(t) == disc
         assert (len(recursions), len(determinants)) == (1, 1)
@@ -925,7 +927,8 @@ def test_trace_route_forms_characteristic_coefficients_once(monkeypatch):
         assert discriminant(ext) == disc
         assert len(recursions) == 1
         assert np.array_equal(char_coefficients(ext), char_coefficients(t))
-        assert char_coefficients(ext) is char_coefficients(ext)
+        S = char_coefficients(ext)
+        assert char_coefficients(ext).tobytes() == S.tobytes() and not S.flags.writeable
         assert len(recursions) == 2
     # a tuple whose S_k fail is refused without factorising B: S_2 = -0.25
     factorisations.clear()
